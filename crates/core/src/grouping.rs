@@ -13,28 +13,23 @@
 //!
 //! ## Performance structure
 //!
-//! The hot path is scoring `O(n²)` candidate pairs and matching them,
-//! every scheduler tick. Three layers keep that cheap (see DESIGN.md's
-//! Performance section):
+//! The hot path is building each round's `O(n²)` candidate graph and
+//! matching it, every scheduler tick. Three layers keep that cheap (see
+//! DESIGN.md's Performance section):
 //!
 //! * γ lookups go through the bounded, allocation-free
 //!   [`crate::gamma_cache`] (canonicalized fixed-size keys, segmented
 //!   eviction);
+//! * every round graph — round 1 and merged rounds alike — is filled
+//!   from a **profile-class table** (`ClassWeights`): nodes with the
+//!   same ordered member-profile sequence form one class, each ordered
+//!   class pair is scored once, and the n×n cells are table lookups;
 //! * round-1 graphs, matchings, and final groups are memoized across
 //!   calls in [`crate::round_cache`], so an unchanged bucket re-groups
-//!   without touching the matcher;
-//! * between rounds, edge weights are **incremental**: pairs of nodes
-//!   that survived a merge round unchanged copy their weight from the
-//!   previous round's graph instead of recomputing γ.
-//!
-//! Edge-weight construction optionally fans out over scoped worker
-//! threads ([`GroupingConfig::workers`]); the output is bit-identical for
-//! every worker count because each pair's weight is a pure function of
-//! the two member sets.
+//!   without touching the matcher.
 
-use std::num::NonZeroUsize;
+use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 use muri_interleave::OrderingPolicy;
 use muri_matching::{
@@ -45,8 +40,9 @@ use muri_telemetry::timed_us;
 use muri_workload::{StageProfile, NUM_RESOURCES};
 use serde::{Deserialize, Serialize};
 
+use crate::gamma_cache::{self, FxBuildHasher};
+use crate::round_cache;
 use crate::shard::{self, ShardBy, ShardCounters};
-use crate::{gamma_cache, round_cache};
 
 /// How jobs are grouped for interleaving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -83,11 +79,12 @@ pub struct GroupingConfig {
     /// GPUs — kept as an ablation of this repo's design decision
     /// (DESIGN.md §5b.3).
     pub capacity_aware: bool,
-    /// Worker threads for edge-weight construction. `0` (the default)
-    /// auto-detects from available parallelism; `1` forces the serial
-    /// path. Grouping output is **bit-identical for every value** — the
-    /// knob trades wall-clock for threads, never results — so it is
-    /// excluded from all memoization keys.
+    /// Worker threads for the sharded planner's template solves (see
+    /// [`crate::shard`]). `0` (the default) auto-detects from available
+    /// parallelism; `1` forces the serial path. Grouping output is
+    /// **bit-identical for every value** — the knob trades wall-clock for
+    /// threads, never results — so it is excluded from all memoization
+    /// keys.
     #[serde(default)]
     pub workers: usize,
     /// Sparsify Blossom inputs to each node's `prune_top_m` heaviest
@@ -167,27 +164,11 @@ pub fn merged_efficiency(profiles: &[StageProfile], ordering: OrderingPolicy) ->
     gamma_cache::merged_efficiency_cached(profiles, ordering)
 }
 
-/// Below this node count a round's edge build stays on the calling
-/// thread: spawn overhead beats the `O(n²)` scoring work.
-const PAR_MIN_NODES: usize = 64;
-
-/// Resolve the configured worker count for a round over `n` nodes.
-pub(crate) fn resolve_workers(configured: usize, n: usize) -> usize {
-    if n < PAR_MIN_NODES {
-        return 1;
-    }
-    if configured != 0 {
-        return configured;
-    }
-    static AUTO: OnceLock<usize> = OnceLock::new();
-    *AUTO.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
-}
-
 /// Edge weight for merging two nodes: the fixed-point interleaving
 /// efficiency of the combined member set, or 0 (no edge) when the merge
 /// would exceed the size cap or fall below the efficiency threshold.
-/// Pure in `(u, v)` — this is what makes parallel and incremental edge
-/// construction exact.
+/// A pure function of the two ordered member-profile sequences — this is
+/// what makes the class-table graph build exact.
 pub(crate) fn node_pair_weight(
     members_u: &[usize],
     members_v: &[usize],
@@ -222,87 +203,152 @@ fn thresholded_weight(gamma: f64, min_efficiency: f64) -> i64 {
     }
 }
 
-/// Build a round's edge-weight graph from scratch.
+/// Exact-equality profile classes of a node list and the weight of
+/// every ordered class pair.
+///
+/// A node's class is its ordered member-profile sequence, so two nodes
+/// share a class exactly when [`node_pair_weight`] cannot tell them
+/// apart (the order is part of the key because the `Canonical` ordering
+/// policy is member-order sensitive). Every pair weight is then a table
+/// lookup: a node list costs `O(C²)` γ evaluations instead of `O(n²)`,
+/// and real buckets hold only a few profile classes (`C ≪ n`).
+pub(crate) struct ClassWeights {
+    /// Class id of each node. Ids are assigned in first-seen (priority)
+    /// order, so they are deterministic for a given node list.
+    pub class_of: Vec<u32>,
+    /// The first node of each class.
+    pub rep: Vec<usize>,
+    /// Nodes per class.
+    pub count: Vec<u32>,
+    /// `weights[a * num_classes + b]` = weight of merging a class-`a` node
+    /// (listed first) with a class-`b` node. Both orders are stored; the
+    /// intra-class weight of a one-node class is unused and left 0.
+    pub weights: Vec<i64>,
+    /// Number of classes.
+    pub num_classes: usize,
+}
+
+impl ClassWeights {
+    /// Classify `nodes` and score each ordered class pair once with
+    /// [`node_pair_weight`].
+    pub(crate) fn build(
+        nodes: &[Vec<usize>],
+        profiles: &[StageProfile],
+        cfg: &GroupingConfig,
+        cap: usize,
+    ) -> Self {
+        // Lookup-only map (never iterated), so ids stay deterministic.
+        // Nodes never outgrow the group-size cap, so a fixed-size key
+        // holds every member sequence.
+        let mut id_of: HashMap<([StageProfile; NUM_RESOURCES], usize), u32, FxBuildHasher> =
+            HashMap::default();
+        let mut class_of = Vec::with_capacity(nodes.len());
+        let mut rep: Vec<usize> = Vec::new();
+        let mut second: Vec<usize> = Vec::new();
+        let mut count: Vec<u32> = Vec::new();
+        for (i, node) in nodes.iter().enumerate() {
+            debug_assert!(
+                node.len() <= NUM_RESOURCES,
+                "node {node:?} exceeds the group cap"
+            );
+            let mut key = [StageProfile::default(); NUM_RESOURCES];
+            for (slot, &j) in key.iter_mut().zip(node) {
+                *slot = profiles[j];
+            }
+            let id = *id_of.entry((key, node.len())).or_insert_with(|| {
+                rep.push(i);
+                second.push(i);
+                count.push(0);
+                (rep.len() - 1) as u32
+            });
+            let idx = id as usize;
+            if count[idx] == 1 {
+                second[idx] = i;
+            }
+            count[idx] += 1;
+            class_of.push(id);
+        }
+        let num_classes = rep.len();
+        let mut weights = vec![0i64; num_classes * num_classes];
+        // Best/Worst γ is exactly invariant under member order (the γ
+        // cache scores the sorted members), so one order per pair does.
+        let symmetric = cfg.ordering != OrderingPolicy::Canonical;
+        for a in 0..num_classes {
+            for b in 0..num_classes {
+                if symmetric && b < a {
+                    weights[a * num_classes + b] = weights[b * num_classes + a];
+                    continue;
+                }
+                let (u, v) = if a == b {
+                    if count[a] < 2 {
+                        continue;
+                    }
+                    (rep[a], second[a])
+                } else {
+                    (rep[a], rep[b])
+                };
+                weights[a * num_classes + b] = node_pair_weight(
+                    &nodes[u],
+                    &nodes[v],
+                    profiles,
+                    cap,
+                    cfg.ordering,
+                    cfg.min_efficiency,
+                );
+            }
+        }
+        ClassWeights {
+            class_of,
+            rep,
+            count,
+            weights,
+            num_classes,
+        }
+    }
+
+    /// Weight of merging node `u` (listed first) with node `v` — exactly
+    /// `node_pair_weight(&nodes[u], &nodes[v], …)` for distinct nodes.
+    pub(crate) fn weight(&self, u: usize, v: usize) -> i64 {
+        self.weights[self.class_of[u] as usize * self.num_classes + self.class_of[v] as usize]
+    }
+}
+
+/// Build a round's edge-weight graph from its profile-class table: one
+/// γ evaluation per ordered class pair, a table lookup per cell. The
+/// lower node of each pair is listed first, as in [`node_pair_weight`].
 fn build_node_graph(
     nodes: &[Vec<usize>],
     profiles: &[StageProfile],
     cfg: &GroupingConfig,
     cap: usize,
 ) -> DenseGraph {
-    DenseGraph::build_symmetric(
-        nodes.len(),
-        resolve_workers(cfg.workers, nodes.len()),
-        |u, v| {
-            node_pair_weight(
-                &nodes[u],
-                &nodes[v],
-                profiles,
-                cap,
-                cfg.ordering,
-                cfg.min_efficiency,
-            )
-        },
-    )
-}
-
-/// Rebuild a round graph after merges, incrementally: a pair of nodes
-/// that both survived the previous round unchanged has an unchanged
-/// member set, so its weight is copied from the previous graph; only
-/// pairs involving a freshly merged node are rescored.
-fn update_node_graph(
-    prev: &DenseGraph,
-    provenance: &[Option<usize>],
-    nodes: &[Vec<usize>],
-    profiles: &[StageProfile],
-    cfg: &GroupingConfig,
-    cap: usize,
-) -> DenseGraph {
-    DenseGraph::build_symmetric(
-        nodes.len(),
-        resolve_workers(cfg.workers, nodes.len()),
-        |u, v| match (provenance[u], provenance[v]) {
-            (Some(a), Some(b)) => prev.weight(a, b),
-            _ => node_pair_weight(
-                &nodes[u],
-                &nodes[v],
-                profiles,
-                cap,
-                cfg.ordering,
-                cfg.min_efficiency,
-            ),
-        },
-    )
+    let table = ClassWeights::build(nodes, profiles, cfg, cap);
+    DenseGraph::build_symmetric(nodes.len(), |u, v| table.weight(u, v))
 }
 
 /// Merge matched pairs into single nodes: merged pairs first, then
 /// surviving nodes, finally sorted by smallest member index (the
 /// highest-priority job in the group — keeps output deterministic).
-/// Also returns the provenance map for incremental edge weights:
-/// `provenance[new] = Some(old)` when new node `new` is old node `old`
-/// unchanged, `None` when it was freshly merged this round.
-fn merge_nodes(
-    nodes: &[Vec<usize>],
-    pairs: &[(usize, usize)],
-) -> (Vec<Vec<usize>>, Vec<Option<usize>>) {
-    let mut next: Vec<(Vec<usize>, Option<usize>)> = Vec::with_capacity(nodes.len());
+fn merge_nodes(nodes: &[Vec<usize>], pairs: &[(usize, usize)]) -> Vec<Vec<usize>> {
+    let mut next: Vec<Vec<usize>> = Vec::with_capacity(nodes.len());
     let mut consumed = vec![false; nodes.len()];
     for &(u, v) in pairs {
         let mut merged = nodes[u].clone();
         merged.extend(nodes[v].iter().copied());
         merged.sort_unstable();
-        next.push((merged, None));
+        next.push(merged);
         consumed[u] = true;
         consumed[v] = true;
     }
     for (u, node) in nodes.iter().enumerate() {
         if !consumed[u] {
-            next.push((node.clone(), Some(u)));
+            next.push(node.clone());
         }
     }
     // Smallest members are unique across nodes (the node sets partition
     // the index space), so this sort has no ties to break.
-    next.sort_by_key(|(g, _)| g[0]);
-    next.into_iter().unzip()
+    next.sort_by_key(|g| g[0]);
+    next
 }
 
 /// Slot in the round cache's per-mode arrays for a matching mode.
@@ -461,13 +507,13 @@ pub struct BucketInput {
 }
 
 /// Per-bucket round state carried across the capacity-aware demand loop:
-/// the current round graph, the matching solved on it, and — when merges
-/// were applied since the graph was built — the provenance map that lets
-/// the next round update the graph incrementally.
+/// the current round graph, the matching solved on it, and whether
+/// merges were applied since the graph was built (which makes both
+/// stale).
 struct BucketRoundState {
     graph: Option<Rc<DenseGraph>>,
     matching: Option<Rc<Matching>>,
-    pending: Option<Vec<Option<usize>>>,
+    merged: bool,
     /// This bucket plans on the sharded path (decided from its initial
     /// size; flips to `false` permanently if a composed certificate
     /// fails at dense-fallback scale).
@@ -572,7 +618,7 @@ pub fn capacity_aware_grouping_timed(
         .map(|b| BucketRoundState {
             graph: None,
             matching: None,
-            pending: None,
+            merged: false,
             sharded: shard::use_sharding(cfg, b.profiles.len()),
             shard_pairs: None,
         })
@@ -591,11 +637,12 @@ pub fn capacity_aware_grouping_timed(
                 continue;
             }
             let st = &mut states[bi];
+            let stale = std::mem::take(&mut st.merged);
             if st.sharded {
                 // Sharded planning path: no dense graph ever exists for
                 // this bucket. Recompute the plan only when merges made
                 // the previous one stale.
-                if st.pending.take().is_some() {
+                if stale {
                     st.shard_pairs = None;
                 }
                 if st.shard_pairs.is_none() {
@@ -633,66 +680,46 @@ pub fn capacity_aware_grouping_timed(
                     continue;
                 }
             }
-            match (st.graph.take(), st.pending.take()) {
-                (None, _) if ns.len() == b.profiles.len() => {
-                    // Round 1: nodes are singletons, so this bucket's
-                    // graph and matching key on exactly its profile list
-                    // — memoized across calls (and across ticks).
-                    let r = round_cache::round1(
-                        &b.profiles,
-                        params,
-                        mode_idx,
-                        || {
-                            timed_us(timed, &mut graph_us, || {
-                                build_node_graph(ns, &b.profiles, cfg, cap)
-                            })
-                        },
-                        |g| {
-                            timed_us(timed, &mut match_us, || {
-                                solve_matching(cfg.mode, g, &prune, &mut prune_counters)
-                            })
-                        },
-                    );
-                    st.graph = Some(r.graph);
-                    st.matching = r.matching;
-                }
-                (None, _) => {
-                    // Mid-flight sharded→dense fallback: nodes have
-                    // already merged, so the round-1 memo (keyed on
-                    // singletons) does not apply — build directly.
-                    let g = timed_us(timed, &mut graph_us, || {
-                        build_node_graph(ns, &b.profiles, cfg, cap)
-                    });
-                    let any = g.has_edges();
-                    let g = Rc::new(g);
-                    st.matching = any.then(|| {
-                        Rc::new(timed_us(timed, &mut match_us, || {
-                            solve_matching(cfg.mode, &g, &prune, &mut prune_counters)
-                        }))
-                    });
-                    st.graph = Some(g);
-                }
-                (Some(prev), Some(provenance)) => {
-                    // Merges were applied: refresh the graph
-                    // incrementally and re-match.
-                    let g = timed_us(timed, &mut graph_us, || {
-                        update_node_graph(&prev, &provenance, ns, &b.profiles, cfg, cap)
-                    });
-                    let any = g.has_edges();
-                    let g = Rc::new(g);
-                    st.matching = any.then(|| {
-                        Rc::new(timed_us(timed, &mut match_us, || {
-                            solve_matching(cfg.mode, &g, &prune, &mut prune_counters)
-                        }))
-                    });
-                    st.graph = Some(g);
-                }
-                (Some(prev), None) => {
-                    // No merges accepted here last round: graph and
-                    // matching are both still current — reuse as-is.
-                    st.graph = Some(prev);
-                }
+            if st.graph.is_none() && ns.len() == b.profiles.len() {
+                // Round 1: nodes are singletons, so this bucket's graph
+                // and matching key on exactly its profile list —
+                // memoized across calls (and across ticks).
+                let r = round_cache::round1(
+                    &b.profiles,
+                    params,
+                    mode_idx,
+                    || {
+                        timed_us(timed, &mut graph_us, || {
+                            build_node_graph(ns, &b.profiles, cfg, cap)
+                        })
+                    },
+                    |g| {
+                        timed_us(timed, &mut match_us, || {
+                            solve_matching(cfg.mode, g, &prune, &mut prune_counters)
+                        })
+                    },
+                );
+                st.graph = Some(r.graph);
+                st.matching = r.matching;
+            } else if stale || st.graph.is_none() {
+                // Merges were applied (or a mid-flight sharded→dense
+                // fallback left merged nodes the round-1 memo does not
+                // key on): rebuild the graph from its class table and
+                // re-match.
+                let g = timed_us(timed, &mut graph_us, || {
+                    build_node_graph(ns, &b.profiles, cfg, cap)
+                });
+                let any = g.has_edges();
+                let g = Rc::new(g);
+                st.matching = any.then(|| {
+                    Rc::new(timed_us(timed, &mut match_us, || {
+                        solve_matching(cfg.mode, &g, &prune, &mut prune_counters)
+                    }))
+                });
+                st.graph = Some(g);
             }
+            // Otherwise no merges were accepted here last round: graph
+            // and matching are both still current.
             let (Some(graph), Some(matching)) = (&st.graph, &st.matching) else {
                 continue;
             };
@@ -742,9 +769,8 @@ pub fn capacity_aware_grouping_timed(
                 continue;
             }
             progressed = true;
-            let (next, provenance) = merge_nodes(&nodes[bi], merges);
-            nodes[bi] = next;
-            states[bi].pending = Some(provenance);
+            nodes[bi] = merge_nodes(&nodes[bi], merges);
+            states[bi].merged = true;
         }
         if !progressed {
             break;
@@ -795,42 +821,29 @@ fn matched_grouping(
     // Nodes start as singletons; each round merges matched pairs.
     let mut nodes: Vec<Vec<usize>> = (0..profiles.len()).map(|i| vec![i]).collect();
     let rounds = (usize::BITS - (cap.max(1) - 1).leading_zeros()) as usize; // ceil(log2(cap))
-                                                                            // The previous round's graph plus the provenance of `nodes` relative
-                                                                            // to it, for incremental edge weights.
-    let mut carried: Option<(Rc<DenseGraph>, Vec<Option<usize>>)> = None;
-    for _ in 0..rounds {
+    for round in 0..rounds {
         if nodes.len() < 2 {
             break;
         }
-        let (graph, any_edge, matching) = match carried.take() {
-            None => {
-                let r = round_cache::round1(
-                    profiles,
-                    params,
-                    mode_idx,
-                    || build_node_graph(&nodes, profiles, cfg, cap),
-                    |g| solve_matching(cfg.mode, g, &prune, &mut prune_counters),
-                );
-                (r.graph, r.any_edge, r.matching)
-            }
-            Some((prev, provenance)) => {
-                let g = update_node_graph(&prev, &provenance, &nodes, profiles, cfg, cap);
-                let any = g.has_edges();
-                let g = Rc::new(g);
-                let m =
-                    any.then(|| Rc::new(solve_matching(cfg.mode, &g, &prune, &mut prune_counters)));
-                (g, any, m)
-            }
+        let matching = if round == 0 {
+            round_cache::round1(
+                profiles,
+                params,
+                mode_idx,
+                || build_node_graph(&nodes, profiles, cfg, cap),
+                |g| solve_matching(cfg.mode, g, &prune, &mut prune_counters),
+            )
+            .matching
+        } else {
+            let g = build_node_graph(&nodes, profiles, cfg, cap);
+            g.has_edges()
+                .then(|| Rc::new(solve_matching(cfg.mode, &g, &prune, &mut prune_counters)))
         };
-        if !any_edge {
-            break;
-        }
+        // `None` iff the round graph has no edges: nothing left to merge.
         let Some(matching) = matching else {
             break;
         };
-        let (next, provenance) = merge_nodes(&nodes, &matching.pairs());
-        nodes = next;
-        carried = Some((graph, provenance));
+        nodes = merge_nodes(&nodes, &matching.pairs());
     }
     round_cache::store_final_groups(profiles, params, mode_idx, &nodes);
     nodes
@@ -867,8 +880,7 @@ fn sharded_matched_grouping(
             break;
         }
         let merges: Vec<(usize, usize)> = pairs.iter().map(|&(u, v, _)| (u, v)).collect();
-        let (next, _) = merge_nodes(&nodes, &merges);
-        nodes = next;
+        nodes = merge_nodes(&nodes, &merges);
     }
     Some(nodes)
 }
@@ -877,6 +889,7 @@ fn sharded_matched_grouping(
 mod tests {
     use super::*;
     use muri_workload::SimDuration;
+    use proptest::prelude::*;
 
     fn secs(s: u64) -> SimDuration {
         SimDuration::from_secs(s)
@@ -1243,7 +1256,8 @@ mod tests {
 
     #[test]
     fn worker_counts_do_not_change_output() {
-        // More nodes than PAR_MIN_NODES so the parallel path really runs.
+        // Workers only fan out the sharded planner's template solves:
+        // force it, over more nodes than its serial threshold.
         let profiles: Vec<StageProfile> = (0..80)
             .map(|i| cpu_gpu(1 + (i % 5) as u64, 5 - (i % 5) as u64))
             .collect();
@@ -1253,6 +1267,8 @@ mod tests {
             crate::gamma_cache::reset();
             let cfg = GroupingConfig {
                 workers,
+                shard_by: ShardBy::Force,
+                shard_size: 8,
                 ..GroupingConfig::default()
             };
             let groups = multi_round_grouping(&profiles, &cfg);
@@ -1260,6 +1276,107 @@ mod tests {
                 None => reference = Some(groups),
                 Some(r) => assert_eq!(r, &groups, "workers={workers} diverged"),
             }
+        }
+    }
+
+    /// Profiles drawn from a pool: a small pool gives heavily duplicated
+    /// lists (few classes), a large one mostly distinct profiles.
+    fn arb_profiles() -> impl Strategy<Value = Vec<StageProfile>> {
+        (1usize..=40, 0usize..=24).prop_flat_map(|(pool, n)| {
+            proptest::collection::vec(0..pool, n).prop_map(|picks| {
+                picks
+                    .into_iter()
+                    .map(|p| {
+                        let p = p as u64;
+                        StageProfile::new(
+                            secs(p % 3),
+                            secs(1 + p % 5),
+                            secs(1 + (p * 7) % 4),
+                            secs(p % 2),
+                        )
+                    })
+                    .collect()
+            })
+        })
+    }
+
+    /// Split `0..n` into nodes of 1..=`max_size` members each (sorted,
+    /// like merged nodes), in a shuffled order.
+    fn arb_nodes(n: usize, max_size: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
+        (
+            proptest::collection::vec(any::<u32>(), n),
+            proptest::collection::vec(1..=max_size, n),
+        )
+            .prop_map(|(keys, sizes)| {
+                let mut order: Vec<usize> = (0..keys.len()).collect();
+                order.sort_by_key(|&i| keys[i]);
+                let mut nodes = Vec::new();
+                let mut rest = &order[..];
+                for size in sizes {
+                    if rest.is_empty() {
+                        break;
+                    }
+                    let (head, tail) = rest.split_at(size.min(rest.len()));
+                    let mut node = head.to_vec();
+                    node.sort_unstable();
+                    nodes.push(node);
+                    rest = tail;
+                }
+                nodes
+            })
+    }
+
+    fn arb_case(
+    ) -> impl Strategy<Value = (Vec<StageProfile>, Vec<Vec<usize>>, GroupingConfig, usize)> {
+        (
+            arb_profiles(),
+            2usize..=4,
+            1usize..=2,
+            prop_oneof![
+                Just(OrderingPolicy::Best),
+                Just(OrderingPolicy::Worst),
+                Just(OrderingPolicy::Canonical)
+            ],
+            prop_oneof![Just(0.0), Just(0.3), Just(0.55), Just(0.7)],
+        )
+            .prop_flat_map(|(profiles, cap, max_size, ordering, min_efficiency)| {
+                let cfg = GroupingConfig {
+                    ordering,
+                    min_efficiency,
+                    max_group_size: cap,
+                    ..GroupingConfig::default()
+                };
+                let n = profiles.len();
+                (
+                    Just(profiles),
+                    arb_nodes(n, max_size.min(cap)),
+                    Just(cfg),
+                    Just(cap),
+                )
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The class-table round graph equals scoring every pair with
+        /// `node_pair_weight`, cell for cell.
+        #[test]
+        fn class_table_graph_equals_per_pair_graph(
+            (profiles, nodes, cfg, cap) in arb_case()
+        ) {
+            let table = build_node_graph(&nodes, &profiles, &cfg, cap);
+            let per_pair = DenseGraph::build_symmetric(nodes.len(), |u, v| {
+                node_pair_weight(
+                    &nodes[u],
+                    &nodes[v],
+                    &profiles,
+                    cap,
+                    cfg.ordering,
+                    cfg.min_efficiency,
+                )
+            });
+            prop_assert_eq!(table, per_pair);
         }
     }
 }

@@ -1,21 +1,29 @@
 //! Cross-tick memoization of per-round grouping state.
 //!
-//! Profiling the planner shows Blossom matching — not edge-weight
-//! construction — dominates grouping cost (`O(n³)` vs `O(n²)`), and the
-//! scheduler presents the *same* bucket contents tick after tick whenever
-//! no job arrived, finished, or was preempted in between. This cache
-//! keys on exactly the inputs that determine round-1 state — the profile
-//! list (in priority order), the group-size cap, the ordering policy, the
-//! efficiency threshold, and the sparsification knobs (top-m width and
-//! loss bound, see [`RoundParams`]) — and memoizes:
+//! A round-1 miss costs a class-table graph build (one γ evaluation per
+//! ordered profile-class pair, then an n×n fill) plus the matcher: the
+//! certified top-m prune pass, which solves the kept edges as a CSR
+//! graph and re-solves the dense graph only when its loss certificate
+//! fails. The matcher dominates (`O(n³)` Blossom vs an `O(n²)` fill), and
+//! the scheduler presents the *same* bucket contents tick after tick
+//! whenever no job arrived, finished, or was preempted in between. This
+//! cache keys on exactly the inputs that determine round-1 state — the
+//! profile list (in priority order), the group-size cap, the ordering
+//! policy, the efficiency threshold, and the sparsification and sharding
+//! knobs (see [`RoundParams`]) — and memoizes:
 //!
-//! * the round-1 edge-weight graph (shared by every matching mode and
-//!   every worker count, since edge weights are a pure function of the
-//!   key);
+//! * the round-1 dense edge-weight graph (shared by every matching mode
+//!   and every worker count, since edge weights are a pure function of
+//!   the key; the prune pass reads it but never stores a pruned copy);
 //! * the round-1 matching, one slot per matching mode (Blossom / greedy);
+//! * the round-1 sharded plan, one slot per matching mode, for buckets
+//!   on the sharded planner path (which never builds a dense graph);
 //! * the final multi-round groups per mode, so an exactly repeated
 //!   [`crate::grouping::multi_round_grouping`] call returns without
 //!   touching the matcher at all.
+//!
+//! Merged rounds are not memoized: their graphs are rebuilt from the
+//! merged nodes' class table, which costs a handful of γ lookups.
 //!
 //! The free-GPU count and the worker count are deliberately **not** part
 //! of the key: round-1 state does not depend on either (capacity only
@@ -201,7 +209,6 @@ thread_local! {
 /// Memoized round-1 state handed back to the grouping loop.
 pub(crate) struct Round1 {
     pub graph: Rc<DenseGraph>,
-    pub any_edge: bool,
     /// `None` iff the graph has no edges (matching would be empty).
     pub matching: Option<Rc<Matching>>,
 }
@@ -238,7 +245,6 @@ pub(crate) fn round1(
             }
             return Round1 {
                 graph,
-                any_edge: entry.any_edge,
                 matching: entry.matchings[mode_idx].clone(),
             };
         }
@@ -259,11 +265,7 @@ pub(crate) fn round1(
             sharded: Default::default(),
         };
         cache.insert(h, entry);
-        Round1 {
-            graph,
-            any_edge,
-            matching,
-        }
+        Round1 { graph, matching }
     })
 }
 
@@ -395,7 +397,7 @@ mod tests {
     }
 
     fn toy_graph(n: usize) -> DenseGraph {
-        DenseGraph::build_symmetric(n, 1, |u, v| (u + v) as i64)
+        DenseGraph::build_symmetric(n, |u, v| (u + v) as i64)
     }
 
     fn toy_matching(g: &DenseGraph) -> Matching {
@@ -435,7 +437,6 @@ mod tests {
                     toy_matching(g)
                 },
             );
-            assert!(r.any_edge);
             assert!(r.matching.is_some());
         }
         assert_eq!(builds, 1, "graph must be built once");

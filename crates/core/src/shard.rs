@@ -50,7 +50,9 @@
 //! All weights stay in scaled `i64` fixed-point; this file is on the
 //! muri-lint D004 float-free decision path.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 use muri_matching::{
     greedy_matching_sparse, loss_certificate_holds, pruned_maximum_weight_matching_sparse,
@@ -59,9 +61,7 @@ use muri_matching::{
 use muri_workload::{ResourceKind, StageProfile, NUM_RESOURCES};
 use serde::{Deserialize, Serialize};
 
-use crate::grouping::{
-    node_pair_weight, prune_config, resolve_workers, GroupingConfig, GroupingMode,
-};
+use crate::grouping::{prune_config, ClassWeights, GroupingConfig, GroupingMode};
 
 /// When the sharded planner engages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -113,6 +113,10 @@ pub const SHARD_DENSE_FALLBACK_MAX: usize = 2048;
 /// Repair passes over unmatched leftovers after the initial shard sweep.
 pub const MAX_REPAIR_ROUNDS: usize = 2;
 
+/// Below this node count template solves stay on the calling thread:
+/// spawn overhead beats the work.
+const PAR_MIN_NODES: usize = 64;
+
 /// Audit hooks replay the full `O(n²)` certificate only below this size.
 #[cfg(feature = "audit")]
 const SHARD_AUDIT_MAX_NODES: usize = 512;
@@ -144,6 +148,18 @@ pub(crate) fn use_sharding(cfg: &GroupingConfig, n: usize) -> bool {
     }
 }
 
+/// Resolve the configured worker count for a round over `n` nodes.
+fn resolve_workers(configured: usize, n: usize) -> usize {
+    if n < PAR_MIN_NODES {
+        return 1;
+    }
+    if configured != 0 {
+        return configured;
+    }
+    static AUTO: OnceLock<usize> = OnceLock::new();
+    *AUTO.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
 /// The effective shard size for a config (`0` selects the default).
 pub(crate) fn effective_shard_size(cfg: &GroupingConfig) -> usize {
     if cfg.shard_size == 0 {
@@ -162,26 +178,16 @@ fn effective_candidate_m(cfg: &GroupingConfig) -> usize {
     }
 }
 
-/// Exact-equality profile classes of the current nodes plus the class
-/// weight table and candidate structure. Class ids are assigned in
-/// first-seen (priority) order, so they are deterministic for a given
-/// node list.
+/// Exact-equality profile classes of the current nodes and their pair
+/// weights, plus the candidate structure and certificate maxima.
 struct ClassTable {
-    /// Class id of each node.
-    class_of: Vec<u32>,
-    /// Members per class.
-    count: Vec<u32>,
-    /// `weights[a * c + b]` = weight of merging a class-`a` node (listed
-    /// first) with a class-`b` node. Both orders are stored because the
-    /// `Canonical` ordering policy is member-order sensitive.
-    weights: Vec<i64>,
+    /// Class ids, counts and ordered class-pair weights.
+    classes: ClassWeights,
     /// Sorted candidate partner classes per class (union semantics).
     allowed: Vec<Vec<u32>>,
     /// Availability-aware per-class maximum over **all** classes (not
     /// just candidates), for the certificate's half-max-sum bound.
     max_w: Vec<i64>,
-    /// Number of classes.
-    classes: usize,
 }
 
 /// Quantized dominant-resource signature fields of a merged profile
@@ -233,62 +239,11 @@ fn build_class_table(
     cfg: &GroupingConfig,
     cap: usize,
 ) -> ClassTable {
-    let n = nodes.len();
-    // First-seen class ids; the HashMap is lookup-only (never iterated),
-    // so ordering stays deterministic.
-    let mut key_to_id: HashMap<Vec<StageProfile>, u32> = HashMap::new();
-    let mut class_of: Vec<u32> = Vec::with_capacity(n);
-    let mut rep: Vec<usize> = Vec::new();
-    let mut second: Vec<Option<usize>> = Vec::new();
-    let mut count: Vec<u32> = Vec::new();
-    for (i, node) in nodes.iter().enumerate() {
-        let key: Vec<StageProfile> = node.iter().map(|&j| profiles[j]).collect();
-        let id = match key_to_id.get(&key) {
-            Some(&id) => id,
-            None => {
-                let id = rep.len() as u32;
-                key_to_id.insert(key, id);
-                rep.push(i);
-                second.push(None);
-                count.push(0);
-                id
-            }
-        };
-        let idx = id as usize;
-        if count[idx] == 1 {
-            second[idx] = Some(i);
-        }
-        count[idx] += 1;
-        class_of.push(id);
-    }
-    let classes = rep.len();
-    // Class-pair weights, both member orders. A pair `(u, v)` with
-    // `u < v`, `u ∈ a`, `v ∈ b` weighs `weights[a * c + b]` — identical
-    // for every such pair because the ordered member-profile sequences
-    // are identical within each class.
-    let mut weights = vec![0i64; classes * classes];
-    for a in 0..classes {
-        for b in 0..classes {
-            let (ua, vb) = if a == b {
-                match second[a] {
-                    Some(s) => (rep[a], s),
-                    None => continue, // singleton class: intra weight unused
-                }
-            } else {
-                (rep[a], rep[b])
-            };
-            weights[a * classes + b] = node_pair_weight(
-                &nodes[ua],
-                &nodes[vb],
-                profiles,
-                cap,
-                cfg.ordering,
-                cfg.min_efficiency,
-            );
-        }
-    }
+    let table = ClassWeights::build(nodes, profiles, cfg, cap);
+    let classes = table.num_classes;
+    let (weights, count) = (&table.weights, &table.count);
     let sigs: Vec<[u32; NUM_RESOURCES + 1]> = (0..classes)
-        .map(|a| class_signature(&nodes[rep[a]], profiles))
+        .map(|a| class_signature(&nodes[table.rep[a]], profiles))
         .collect();
     // Certificate maxima (over all classes) and candidate ranking.
     let m = effective_candidate_m(cfg);
@@ -320,12 +275,9 @@ fn build_class_table(
         list.dedup();
     }
     ClassTable {
-        class_of,
-        count,
-        weights,
+        classes: table,
         allowed,
         max_w,
-        classes,
     }
 }
 
@@ -345,7 +297,7 @@ fn solve_template(
     prune: PruneConfig,
 ) -> TemplateSolve {
     let len = seq.len();
-    let c = table.classes;
+    let c = table.classes.num_classes;
     let mut edges: Vec<(i64, usize, usize)> = Vec::new();
     for i in 0..len {
         let a = seq[i] as usize;
@@ -356,7 +308,7 @@ fn solve_template(
             }
             // Node order within a shard is ascending, so the class of
             // the smaller node id is listed first.
-            let w = table.weights[a * c + b];
+            let w = table.classes.weights[a * c + b];
             if w > 0 {
                 edges.push((w, i, j));
             }
@@ -403,14 +355,14 @@ fn plan_subset(
     let shard_count = len.div_ceil(shard_size);
     // Proportional assignment: the j-th of a class's k subset members
     // goes to shard ⌊j·S/k⌋, so every shard gets the same class mix.
-    let mut sub_count = vec![0usize; table.classes];
+    let mut sub_count = vec![0usize; table.classes.num_classes];
     for &i in subset {
-        sub_count[table.class_of[i] as usize] += 1;
+        sub_count[table.classes.class_of[i] as usize] += 1;
     }
-    let mut seen = vec![0usize; table.classes];
+    let mut seen = vec![0usize; table.classes.num_classes];
     let mut shards: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
     for &i in subset {
-        let cl = table.class_of[i] as usize;
+        let cl = table.classes.class_of[i] as usize;
         let j = seen[cl];
         seen[cl] += 1;
         shards[j * shard_count / sub_count[cl]].push(i);
@@ -421,7 +373,7 @@ fn plan_subset(
     let mut templates: Vec<Vec<u32>> = Vec::new();
     let mut template_of: Vec<usize> = Vec::with_capacity(shard_count);
     for shard in &shards {
-        let key: Vec<u32> = shard.iter().map(|&i| table.class_of[i]).collect();
+        let key: Vec<u32> = shard.iter().map(|&i| table.classes.class_of[i]).collect();
         let t = match key_to_template.get(&key) {
             Some(&t) => t,
             None => {
@@ -527,7 +479,7 @@ pub(crate) fn sharded_round(
         total = total.saturating_add(w);
     }
     let mut half_max: i128 = 0;
-    for &cl in &table.class_of {
+    for &cl in &table.classes.class_of {
         half_max += i128::from(table.max_w[cl as usize]);
     }
     let upper = i64::try_from(half_max / 2).unwrap_or(i64::MAX);
@@ -558,7 +510,6 @@ pub(crate) fn sharded_round(
             "sharded plan violated the certificate contract:\n{report}"
         );
     }
-    let _ = &table.count;
     Some(pairs)
 }
 

@@ -594,9 +594,10 @@ fn check_d005(file: &ScannedFile, ctx: &FileContext, out: &mut Vec<Violation>) {
 /// Flags `thread :: spawn` and `thread :: Builder`. Free-running threads
 /// outlive the data they borrow only via `'static` bounds and make
 /// shutdown order nondeterministic; the workspace convention is
-/// `std::thread::scope` with joined scoped spawns (see
-/// `DenseGraph::build_symmetric` and `muri_sim::replicate`), which C001
-/// deliberately does not match (`s.spawn(…)` has no `thread ::` prefix).
+/// `std::thread::scope` with joined scoped spawns (see the sharded
+/// planner's template solves in `muri_core::shard` and
+/// `muri_sim::replicate`), which C001 deliberately does not match
+/// (`s.spawn(…)` has no `thread ::` prefix).
 fn check_c001(file: &ScannedFile, _ctx: &FileContext, out: &mut Vec<Violation>) {
     for ci in 0..file.code_len() {
         let t = file.code_token(ci);
@@ -617,7 +618,7 @@ fn check_c001(file: &ScannedFile, _ctx: &FileContext, out: &mut Vec<Violation>) 
                     RuleId::C001,
                     format!(
                         "raw `thread::{next}`: use std::thread::scope with joined \
-                         scoped spawns (the DenseGraph::build_symmetric pattern) so \
+                         scoped spawns (the muri_core::shard template-solve pattern) so \
                          threads cannot outlive their inputs"
                     ),
                 );

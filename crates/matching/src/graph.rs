@@ -102,68 +102,15 @@ impl DenseGraph {
     }
 
     /// Build a symmetric graph by scoring every upper-triangle pair
-    /// `(u, v)`, `u < v`, across `workers` scoped threads. A score of 0
-    /// means "no edge"; scores must be non-negative.
-    ///
-    /// The result is **identical to the serial double loop for every
-    /// worker count**: each pair's weight is an independent pure function
-    /// of `(u, v)`, workers own disjoint row ranges of the weight matrix,
-    /// and no worker observes another's writes. `workers ≤ 1` (or fewer
-    /// than two nodes) runs inline on the calling thread without spawning.
-    pub fn build_symmetric(
-        n: usize,
-        workers: usize,
-        score: impl Fn(usize, usize) -> i64 + Sync,
-    ) -> Self {
+    /// `(u, v)`, `u < v`. A score of 0 means "no edge"; scores must be
+    /// non-negative.
+    pub fn build_symmetric(n: usize, mut score: impl FnMut(usize, usize) -> i64) -> Self {
         let mut g = DenseGraph::new(n);
-        if n < 2 {
-            return g;
-        }
-        let workers = workers.clamp(1, n);
-        if workers == 1 {
-            for u in 0..n {
-                for v in u + 1..n {
-                    let w = score(u, v);
-                    if w > 0 {
-                        g.set_weight(u, v, w);
-                    }
-                }
-            }
-            return g;
-        }
-        {
-            let score = &score;
-            // Hand each worker a striped set of rows: row `u` holds the
-            // pairs `(u, v)` with `v > u`, so striping by `u % workers`
-            // balances the triangular workload.
-            let mut stripes: Vec<Vec<(usize, &mut [i64])>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (u, row) in g.w.chunks_mut(n).enumerate() {
-                stripes[u % workers].push((u, row));
-            }
-            std::thread::scope(|s| {
-                for stripe in stripes {
-                    s.spawn(move || {
-                        for (u, row) in stripe {
-                            for (v, slot) in row.iter_mut().enumerate().skip(u + 1) {
-                                let w = score(u, v);
-                                assert!(w >= 0, "edge weights must be non-negative, got {w}");
-                                if w > 0 {
-                                    *slot = w;
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        // Mirror the upper triangle into the lower one so the matrix is
-        // symmetric, exactly as set_weight maintains it.
         for u in 0..n {
             for v in u + 1..n {
-                let w = g.w[u * n + v];
+                let w = score(u, v);
                 if w > 0 {
-                    g.w[v * n + u] = w;
+                    g.set_weight(u, v, w);
                 }
             }
         }

@@ -16,7 +16,8 @@
 //!
 //! [`pruned_maximum_weight_matching`] wraps the Blossom solver with
 //! bounded top-m edge pruning and an a-posteriori loss certificate — the
-//! cold-start fast path (see [`sparse`]).
+//! cold-start fast path (see [`sparse`]). Its dense and CSR entry points
+//! share one prune pass that solves the kept edges in CSR form.
 //!
 //! [`SparseGraph`] (see [`sparse_graph`]) carries candidate graphs in CSR
 //! form — `O(E)` memory instead of the n×n matrix — through the same
@@ -39,9 +40,9 @@ pub use greedy::{greedy_matching, greedy_matching_on_edges};
 pub use oracle::{exact_maximum_weight_matching, ORACLE_MAX_NODES};
 pub use sparse::{
     loss_certificate_holds, pruned_maximum_weight_matching, PruneCertificate, PruneConfig,
-    PruneOutcome, SparseCandidates, DEFAULT_PRUNE_LOSS_BOUND, DEFAULT_PRUNE_TOP_M,
+    PruneOutcome, DEFAULT_PRUNE_LOSS_BOUND, DEFAULT_PRUNE_TOP_M,
 };
 pub use sparse_graph::{
-    greedy_matching_sparse, half_max_sum_sparse, maximum_weight_matching_sparse,
-    pruned_maximum_weight_matching_sparse, SparseGraph,
+    greedy_matching_sparse, maximum_weight_matching_sparse, pruned_maximum_weight_matching_sparse,
+    SparseGraph,
 };

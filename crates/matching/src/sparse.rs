@@ -19,7 +19,7 @@
 //! 2. **Half-max-sum bound.** Each matched edge `(u, v)` weighs at most
 //!    `½·(max_w(u) + max_w(v))` and each node is matched at most once, so
 //!    `OPT_dense ≤ ⌊½·Σ_u max_w(u)⌋` — and the maxima are free, the
-//!    candidate builder already ranks every node's incident edges.
+//!    candidate ranking already sorts every node's incident edges.
 //!
 //! With `U = min(2·greedy(D), ⌊½·Σ max⌋ − W_p)` the certificate is
 //! `OPT_dense ≤ W_p + U`, so the pruned result is within the configured
@@ -32,14 +32,24 @@
 //! The split bound wins on near-empty drops; the half-max-sum bound wins
 //! on dense near-uniform graphs, where many dropped edges are individually
 //! heavy but the matching as a whole still captures almost every node's
-//! best partner.
+//! best partner. The inequality is monotone in `U`, so the split bound —
+//! a sort and greedy pass over every dropped edge — is only computed when
+//! the free half-max-sum bound alone cannot certify; the verdict is the
+//! one `min` would give (see [`PruneCertificate::dropped_bound`]).
 //!
 //! When the certificate cannot guarantee the bound, the solver falls back
-//! to the dense Blossom run — correctness never depends on pruning.
+//! to the exact Blossom run — correctness never depends on pruning.
+//!
+//! There is one prune pass for both graph forms (in [`crate::sparse_graph`],
+//! on the float-free decision path): it reads incident edges through one
+//! row-access trait (dense matrix rows or CSR rows), keeps the selected
+//! edges as a sorted edge list, and solves them on a
+//! [`crate::SparseGraph`]. No n×n keep bitmap or second dense matrix is
+//! built.
 
 use crate::blossom::maximum_weight_matching;
 use crate::graph::{weight_from_f64, DenseGraph, Matching};
-use crate::greedy::greedy_matching_on_edges;
+use crate::sparse_graph::prune_and_solve;
 
 /// Default number of heaviest incident edges kept per node.
 pub const DEFAULT_PRUNE_TOP_M: usize = 8;
@@ -98,155 +108,6 @@ impl Default for PruneConfig {
     }
 }
 
-/// Per-node top-m candidate edges of a dense graph, with the complement
-/// (dropped edges) retained for the a-posteriori certificate.
-#[derive(Debug, Clone)]
-pub struct SparseCandidates {
-    pruned: DenseGraph,
-    kept: Vec<(i64, usize, usize)>,
-    dropped: Vec<(i64, usize, usize)>,
-    half_max_sum: i64,
-}
-
-impl SparseCandidates {
-    /// Prune `g` to each node's `m` **diversified** heaviest incident
-    /// edges plus any edge at or above the keep-threshold. An edge
-    /// survives if **either** endpoint selects it (union semantics), so
-    /// every node retains its best partners.
-    ///
-    /// Per node, incident edges sort by weight descending with ties by
-    /// cyclic distance from the owning node (`(v − u) mod n` ascending),
-    /// and the `m` slots fill **round-robin across distinct weight
-    /// levels**: sweep 1 takes the nearest edge of each level (heaviest
-    /// level first), sweep 2 the second-nearest of each, … until `m`
-    /// edges are selected. With all-distinct weights every level holds
-    /// one edge and this is exactly plain top-m. With heavy ties (many
-    /// jobs sharing a profile), plain top-m would spend all `m` slots on
-    /// one equal-weight level — funneling every node of a class onto the
-    /// same few partners and collapsing the pruned matching far below
-    /// the dense optimum precisely on the workloads pruning is meant to
-    /// accelerate. Round-robin keeps a nearest representative of each of
-    /// the top `m` levels, so any cross-class pairing plan the dense
-    /// optimum uses remains realizable in the pruned graph.
-    pub fn build(g: &DenseGraph, cfg: &PruneConfig) -> Self {
-        let n = g.len();
-        let m = cfg.top_m;
-        let keep_w = cfg.keep_weight();
-        let mut keep = vec![false; n * n];
-        let mut incident: Vec<(i64, usize)> = Vec::with_capacity(n.saturating_sub(1));
-        let mut max_sum: i128 = 0;
-        for u in 0..n {
-            incident.clear();
-            for (v, &w) in g.row(u).iter().enumerate() {
-                if w > 0 && v != u {
-                    incident.push((w, v));
-                }
-            }
-            // Heaviest first; ties by cyclic distance from u so equal
-            // weights spread across partners instead of piling onto the
-            // lowest ids.
-            let dist = |v: usize| (v + n - u) % n;
-            incident.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(dist(a.1).cmp(&dist(b.1))));
-            max_sum += i128::from(incident.first().map_or(0, |&(w, _)| w));
-            // Threshold-kept edges are a prefix of the sorted order.
-            for &(_, v) in incident.iter().take_while(|&&(w, _)| w >= keep_w) {
-                keep[u * n + v] = true;
-            }
-            for v in select_diversified(&incident, m) {
-                keep[u * n + v] = true;
-            }
-        }
-        let mut pruned = DenseGraph::new(n);
-        let mut kept = Vec::new();
-        let mut dropped = Vec::new();
-        for u in 0..n {
-            for (v, &w) in g.row(u).iter().enumerate().skip(u + 1) {
-                if w <= 0 {
-                    continue;
-                }
-                if keep[u * n + v] || keep[v * n + u] {
-                    pruned.set_weight(u, v, w);
-                    kept.push((w, u, v));
-                } else {
-                    dropped.push((w, u, v));
-                }
-            }
-        }
-        SparseCandidates {
-            pruned,
-            kept,
-            dropped,
-            half_max_sum: i64::try_from(max_sum / 2).unwrap_or(i64::MAX),
-        }
-    }
-
-    /// The pruned graph (dropped cells zeroed).
-    pub fn pruned_graph(&self) -> &DenseGraph {
-        &self.pruned
-    }
-
-    /// Kept edges `(w, u, v)` with `u < v`.
-    pub fn kept_edges(&self) -> &[(i64, usize, usize)] {
-        &self.kept
-    }
-
-    /// Dropped edges `(w, u, v)` with `u < v`.
-    pub fn dropped_edges(&self) -> &[(i64, usize, usize)] {
-        &self.dropped
-    }
-
-    /// True if `(u, v)` survived pruning (order-insensitive).
-    pub fn contains(&self, u: usize, v: usize) -> bool {
-        self.pruned.weight(u.min(v), u.max(v)) > 0
-    }
-
-    /// The half-max-sum upper bound on the dense optimum:
-    /// `⌊½·Σ_u max_w(u)⌋` (every matched edge costs each endpoint at most
-    /// its heaviest incident weight, halved because an edge has two).
-    pub fn half_max_sum(&self) -> i64 {
-        self.half_max_sum
-    }
-}
-
-/// Round-robin selection of `m` neighbours from an incident list sorted
-/// by (weight desc, cyclic distance asc): sweep `s` takes the
-/// `(s+1)`-th-nearest edge of each distinct weight level in level order,
-/// heaviest first, until `m` edges are chosen or the list is exhausted.
-/// Returns the selected neighbour ids.
-pub(crate) fn select_diversified(sorted_incident: &[(i64, usize)], m: usize) -> Vec<usize> {
-    let mut chosen = Vec::with_capacity(m.min(sorted_incident.len()));
-    if m == 0 || sorted_incident.is_empty() {
-        return chosen;
-    }
-    // Level boundaries: runs of equal weight in the sorted order.
-    let mut levels: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0;
-    for i in 1..=sorted_incident.len() {
-        if i == sorted_incident.len() || sorted_incident[i].0 != sorted_incident[start].0 {
-            levels.push((start, i));
-            start = i;
-        }
-    }
-    let mut sweep = 0;
-    while chosen.len() < m {
-        let mut advanced = false;
-        for &(lo, hi) in &levels {
-            if lo + sweep < hi {
-                advanced = true;
-                chosen.push(sorted_incident[lo + sweep].1);
-                if chosen.len() == m {
-                    return chosen;
-                }
-            }
-        }
-        if !advanced {
-            return chosen;
-        }
-        sweep += 1;
-    }
-    chosen
-}
-
 /// A-posteriori quality certificate for a pruned Blossom run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PruneCertificate {
@@ -256,9 +117,19 @@ pub struct PruneCertificate {
     pub dropped_edges: u64,
     /// Exact maximum matching weight on the pruned graph.
     pub pruned_weight: i64,
-    /// Upper bound on the weight the dense optimum can exceed `W_p` by:
-    /// `min(2·greedy(D), ⌊½·Σ_u max_w(u)⌋ − W_p)` — the tighter of the
-    /// split bound and the half-max-sum bound.
+    /// Upper bound on the weight the dense optimum can exceed `W_p` by.
+    /// Which bound is reported depends on how the verdict was reached:
+    ///
+    /// * `0` when nothing was dropped (the pruned graph is the graph);
+    /// * the half-max-sum bound `⌊½·Σ_u max_w(u)⌋ − W_p` when it alone
+    ///   certifies the loss bound — the split bound is then never
+    ///   computed;
+    /// * otherwise `min(2·greedy(D), ⌊½·Σ_u max_w(u)⌋ − W_p)`, the
+    ///   tighter of the split and half-max-sum bounds.
+    ///
+    /// Every case is a valid bound, so [`Self::dense_upper_bound`] is
+    /// never below the dense optimum, and `holds` is the verdict the
+    /// tighter `min` would give (the inequality is monotone in the bound).
     pub dropped_bound: i64,
     /// True if the certificate guarantees the configured loss bound.
     pub holds: bool,
@@ -304,64 +175,11 @@ pub fn loss_certificate_holds(achieved_weight: i64, dropped_bound: i64, loss_bou
 /// cannot guarantee the matching is within `cfg.loss_bound` of the dense
 /// optimum, re-runs Blossom on the dense graph and returns that result
 /// with `fell_back = true`. When nothing is dropped the pruned run *is*
-/// the dense run, so steady-state results are bit-identical.
+/// the dense run, so steady-state results are bit-identical. Bit-identical
+/// to [`crate::pruned_maximum_weight_matching_sparse`] on the CSR graph
+/// holding the same edges: both run the same pass.
 pub fn pruned_maximum_weight_matching(g: &DenseGraph, cfg: &PruneConfig) -> PruneOutcome {
-    if cfg.is_disabled() {
-        let matching = maximum_weight_matching(g);
-        let kept = count_edges(g);
-        let certificate = PruneCertificate {
-            kept_edges: kept,
-            dropped_edges: 0,
-            pruned_weight: matching.total_weight,
-            dropped_bound: 0,
-            holds: true,
-        };
-        return PruneOutcome {
-            matching,
-            certificate,
-            fell_back: false,
-        };
-    }
-    let candidates = SparseCandidates::build(g, cfg);
-    let matching = maximum_weight_matching(candidates.pruned_graph());
-    let mut dropped: Vec<(i64, usize, usize)> = candidates.dropped_edges().to_vec();
-    let dropped_greedy = greedy_matching_on_edges(g.len(), &mut dropped);
-    let split_bound = dropped_greedy.total_weight.saturating_mul(2);
-    let half_max_bound = candidates
-        .half_max_sum()
-        .saturating_sub(matching.total_weight)
-        .max(0);
-    let dropped_bound = split_bound.min(half_max_bound);
-    let holds = loss_certificate_holds(matching.total_weight, dropped_bound, cfg.loss_bound);
-    let certificate = PruneCertificate {
-        kept_edges: candidates.kept_edges().len() as u64,
-        dropped_edges: candidates.dropped_edges().len() as u64,
-        pruned_weight: matching.total_weight,
-        dropped_bound,
-        holds,
-    };
-    if holds {
-        PruneOutcome {
-            matching,
-            certificate,
-            fell_back: false,
-        }
-    } else {
-        PruneOutcome {
-            matching: maximum_weight_matching(g),
-            certificate,
-            fell_back: true,
-        }
-    }
-}
-
-fn count_edges(g: &DenseGraph) -> u64 {
-    let n = g.len();
-    let mut count = 0;
-    for u in 0..n {
-        count += g.row(u)[u + 1..].iter().filter(|&&w| w > 0).count() as u64;
-    }
-    count
+    prune_and_solve(g, cfg, maximum_weight_matching)
 }
 
 #[cfg(test)]
@@ -395,9 +213,9 @@ mod tests {
     fn nothing_dropped_on_small_graphs() {
         // n ≤ top_m + 1: every incident edge is in every node's top-m.
         let g = random_graph(8, 42);
-        let cand = SparseCandidates::build(&g, &PruneConfig::default());
-        assert!(cand.dropped_edges().is_empty());
-        assert_eq!(cand.pruned_graph(), &g);
+        let out = pruned_maximum_weight_matching(&g, &PruneConfig::default());
+        assert_eq!(out.certificate.dropped_edges, 0);
+        assert_eq!(out.matching, maximum_weight_matching(&g));
     }
 
     #[test]
@@ -425,9 +243,10 @@ mod tests {
             loss_bound: 0.05,
             keep_threshold: 2.0, // never triggers
         };
-        let cand = SparseCandidates::build(&g, &cfg);
-        assert!(cand.contains(0, 5));
-        assert!(cand.contains(0, 1)); // node 0's own top-1
+        // Every star edge is some leaf's top-1, so all five survive.
+        let out = pruned_maximum_weight_matching(&g, &cfg);
+        assert_eq!(out.certificate.kept_edges, 5);
+        assert_eq!(out.certificate.dropped_edges, 0);
     }
 
     #[test]
@@ -446,8 +265,8 @@ mod tests {
             loss_bound: 0.05,
             keep_threshold: 0.95,
         };
-        let cand = SparseCandidates::build(&g, &cfg);
-        assert!(cand.dropped_edges().is_empty());
+        let out = pruned_maximum_weight_matching(&g, &cfg);
+        assert_eq!(out.certificate.dropped_edges, 0);
     }
 
     #[test]

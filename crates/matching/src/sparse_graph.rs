@@ -16,15 +16,22 @@
 //! ascending neighbour order the dense row scan visits — this is pinned
 //! by tests and relied on by the scheduler's byte-identity CI smoke.
 //!
+//! This file also holds the one top-m prune pass (see [`crate::sparse`]
+//! for the certificate it computes): both
+//! [`crate::pruned_maximum_weight_matching`] and
+//! [`pruned_maximum_weight_matching_sparse`] run it, reading dense or CSR
+//! rows through the same row-access trait and solving the kept edges as
+//! a `SparseGraph`.
+//!
 //! All weights enter as scaled `i64` fixed-point (see `graph.rs`); this
 //! file is on the muri-lint D004 float-free decision path.
 
+use std::cmp::Reverse;
+
 use crate::blossom::Solver;
-use crate::graph::Matching;
+use crate::graph::{DenseGraph, Matching};
 use crate::greedy::greedy_matching_on_edges;
-use crate::sparse::{
-    loss_certificate_holds, select_diversified, PruneCertificate, PruneConfig, PruneOutcome,
-};
+use crate::sparse::{loss_certificate_holds, PruneCertificate, PruneConfig, PruneOutcome};
 
 /// An undirected weighted graph in compressed-sparse-row form. Only
 /// positive-weight edges are stored; both directions of each edge are
@@ -190,108 +197,159 @@ pub fn greedy_matching_sparse(g: &SparseGraph) -> Matching {
     greedy_matching_on_edges(g.len(), &mut edges)
 }
 
-/// Half-max-sum upper bound on the optimum of `g`:
-/// `⌊½·Σ_u max_w(u)⌋` — every matched edge costs each endpoint at most
-/// its heaviest incident weight.
-pub fn half_max_sum_sparse(g: &SparseGraph) -> i64 {
-    let mut sum: i128 = 0;
-    for u in 0..g.len() {
-        sum += i128::from(g.max_incident(u));
+/// Round-robin selection of `m` neighbours from an incident list sorted
+/// by (weight desc, cyclic distance asc): sweep `s` takes the
+/// `(s+1)`-th-nearest edge of each distinct weight level in level order,
+/// heaviest first, until `m` edges are chosen or the list is exhausted.
+/// Each selected `(w, v)` entry is handed to `take`.
+///
+/// With all-distinct weights every level holds one edge and this is
+/// exactly plain top-m. With heavy ties (many jobs sharing a profile),
+/// plain top-m would spend all `m` slots on one equal-weight level —
+/// funneling every node of a class onto the same few partners and
+/// collapsing the pruned matching far below the dense optimum precisely
+/// on the workloads pruning is meant to accelerate. Round-robin keeps a
+/// nearest representative of each of the top `m` levels, so any
+/// cross-class pairing plan the dense optimum uses remains realizable in
+/// the pruned graph.
+fn select_diversified(
+    sorted_incident: &[(i64, usize)],
+    m: usize,
+    mut take: impl FnMut((i64, usize)),
+) {
+    if m == 0 || sorted_incident.is_empty() {
+        return;
     }
-    i64::try_from(sum / 2).unwrap_or(i64::MAX)
+    // Level boundaries: runs of equal weight in the sorted order.
+    let mut levels: Vec<(usize, usize)> = Vec::new();
+    let mut start = 0;
+    for i in 1..=sorted_incident.len() {
+        if i == sorted_incident.len() || sorted_incident[i].0 != sorted_incident[start].0 {
+            levels.push((start, i));
+            start = i;
+        }
+    }
+    let mut chosen = 0;
+    for sweep in 0.. {
+        let mut advanced = false;
+        for &(lo, hi) in &levels {
+            if lo + sweep < hi {
+                advanced = true;
+                take(sorted_incident[lo + sweep]);
+                chosen += 1;
+                if chosen == m {
+                    return;
+                }
+            }
+        }
+        if !advanced {
+            return;
+        }
+    }
 }
 
-/// Maximum-weight matching on a CSR graph via diversified top-m pruning
-/// with the same a-posteriori certificate as the dense
-/// [`crate::pruned_maximum_weight_matching`]: `W_p` within `loss_bound`
-/// of the *unpruned* optimum of `g`, or an exact re-run on the unpruned
-/// sparse graph with `fell_back = true`. On a CSR graph holding a
-/// complete dense graph's edges, the kept set, certificate, and matching
-/// are bit-identical to the dense pruned path (same sort keys, same
-/// diversified round-robin selection).
-pub fn pruned_maximum_weight_matching_sparse(g: &SparseGraph, cfg: &PruneConfig) -> PruneOutcome {
-    let n = g.len();
+/// The row access the prune pass needs. Implemented by the dense matrix
+/// and the CSR graph, so both run the one pass below.
+pub(crate) trait IncidentRows {
+    /// Number of nodes.
+    fn node_count(&self) -> usize;
+    /// Number of positive-weight neighbours of `u`.
+    fn degree(&self, u: usize) -> usize;
+    /// Append `u`'s positive-weight incident edges `(w, v)` to `out`,
+    /// ascending `v`.
+    fn incident(&self, u: usize, out: &mut Vec<(i64, usize)>);
+}
+
+impl IncidentRows for DenseGraph {
+    fn node_count(&self) -> usize {
+        self.len()
+    }
+
+    fn degree(&self, u: usize) -> usize {
+        self.row(u).iter().filter(|&&w| w > 0).count()
+    }
+
+    fn incident(&self, u: usize, out: &mut Vec<(i64, usize)>) {
+        let row = self.row(u).iter().enumerate();
+        out.extend(row.filter(|&(_, &w)| w > 0).map(|(v, &w)| (w, v)));
+    }
+}
+
+/// The one top-m prune pass behind both public entry points: rank each
+/// node's incident edges, keep the diversified top-m plus the
+/// keep-threshold prefix (union semantics), solve Blossom on the kept
+/// edges in CSR form, and certify the result. `exact` solves the
+/// unpruned graph for the small-graph shortcut and the fallback.
+pub(crate) fn prune_and_solve<G: IncidentRows>(
+    g: &G,
+    cfg: &PruneConfig,
+    exact: impl Fn(&G) -> Matching,
+) -> PruneOutcome {
+    let n = g.node_count();
     if cfg.is_disabled() || n <= cfg.top_m + 1 {
-        let matching = maximum_weight_matching_sparse(g);
-        let certificate = PruneCertificate {
-            kept_edges: g.edge_count() as u64,
-            dropped_edges: 0,
-            pruned_weight: matching.total_weight,
-            dropped_bound: 0,
-            holds: true,
-        };
+        // Nothing can be dropped: every incident edge is in every
+        // node's top-m (or pruning is off).
+        let matching = exact(g);
+        let edges = (0..n).map(|u| g.degree(u) as u64).sum::<u64>() / 2;
         return PruneOutcome {
+            certificate: PruneCertificate {
+                kept_edges: edges,
+                dropped_edges: 0,
+                pruned_weight: matching.total_weight,
+                dropped_bound: 0,
+                holds: true,
+            },
             matching,
-            certificate,
             fell_back: false,
         };
     }
-    let m = cfg.top_m;
     let keep_w = cfg.keep_weight();
-    // Per node: rank incident edges (weight desc, cyclic distance asc —
-    // the dense builder's exact sort key) and keep the diversified top-m
-    // plus the keep-threshold prefix. Membership is per-node sorted
-    // neighbour lists instead of an n×n bitmap so memory stays O(n·m).
-    let mut selected: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut half_max: i128 = 0;
-    let mut incident: Vec<(i64, usize)> = Vec::new();
-    for (u, selected_u) in selected.iter_mut().enumerate() {
-        let (cols, weights) = g.neighbors(u);
-        incident.clear();
-        incident.extend(
-            weights
-                .iter()
-                .copied()
-                .zip(cols.iter().map(|&c| c as usize)),
-        );
-        let dist = |v: usize| (v + n - u) % n;
-        incident.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(dist(a.1).cmp(&dist(b.1))));
-        half_max += i128::from(incident.first().map_or(0, |&(w, _)| w));
-        let mut keep: Vec<u32> = incident
-            .iter()
-            .take_while(|&&(w, _)| w >= keep_w)
-            .map(|&(_, v)| v as u32)
-            .collect();
-        keep.extend(
-            select_diversified(&incident, m)
-                .into_iter()
-                .map(|v| v as u32),
-        );
-        keep.sort_unstable();
-        keep.dedup();
-        *selected_u = keep;
-    }
-    let half_max_sum = i64::try_from(half_max / 2).unwrap_or(i64::MAX);
+    let mut incident: Vec<(i64, usize)> = Vec::with_capacity(n);
     let mut kept: Vec<(i64, usize, usize)> = Vec::new();
-    let mut dropped: Vec<(i64, usize, usize)> = Vec::new();
+    let mut degree_sum: u64 = 0;
+    let mut half_max: i128 = 0;
     for u in 0..n {
-        let (cols, weights) = g.neighbors(u);
-        for (&c, &w) in cols.iter().zip(weights) {
-            let v = c as usize;
-            if v <= u {
-                continue;
-            }
-            if selected[u].binary_search(&(v as u32)).is_ok()
-                || selected[v].binary_search(&(u as u32)).is_ok()
-            {
-                kept.push((w, u, v));
-            } else {
-                dropped.push((w, u, v));
-            }
-        }
+        incident.clear();
+        g.incident(u, &mut incident);
+        degree_sum += incident.len() as u64;
+        // Heaviest first; ties by cyclic distance `(v − u) mod n` from u
+        // so equal weights spread across partners instead of piling onto
+        // the lowest ids. Rotating the ascending row to start after u
+        // puts it in cyclic-distance order, which the stable sort keeps
+        // within each weight.
+        let after_u = incident.partition_point(|&(_, v)| v < u);
+        incident.rotate_left(after_u);
+        incident.sort_by_key(|&(w, _)| Reverse(w));
+        half_max += i128::from(incident.first().map_or(0, |&(w, _)| w));
+        let edge = |(w, v): (i64, usize)| (w, u.min(v), u.max(v));
+        // Threshold-kept edges are a prefix of the sorted order.
+        let heavy = incident.iter().take_while(|&&(w, _)| w >= keep_w);
+        kept.extend(heavy.map(|&e| edge(e)));
+        select_diversified(&incident, cfg.top_m, |e| kept.push(edge(e)));
     }
-    let pruned = SparseGraph::from_edges(n, &kept);
-    let matching = maximum_weight_matching_sparse(&pruned);
-    let mut dropped_for_greedy = dropped.clone();
-    let dropped_greedy = greedy_matching_on_edges(n, &mut dropped_for_greedy);
-    let split_bound = dropped_greedy.total_weight.saturating_mul(2);
-    let half_max_bound = half_max_sum.saturating_sub(matching.total_weight).max(0);
-    let dropped_bound = split_bound.min(half_max_bound);
-    let holds = loss_certificate_holds(matching.total_weight, dropped_bound, cfg.loss_bound);
+    // An edge survives if either endpoint selected it.
+    kept.sort_unstable_by_key(|&(_, u, v)| (u, v));
+    kept.dedup_by_key(|e| (e.1, e.2));
+    let dropped_edges = degree_sum / 2 - kept.len() as u64;
+    let matching = maximum_weight_matching_sparse(&SparseGraph::from_edges(n, &kept));
+    let w_p = matching.total_weight;
+    let (dropped_bound, holds) = if dropped_edges == 0 {
+        (0, true)
+    } else {
+        let half_max_sum = i64::try_from(half_max / 2).unwrap_or(i64::MAX);
+        let half_max_bound = half_max_sum.saturating_sub(w_p).max(0);
+        if loss_certificate_holds(w_p, half_max_bound, cfg.loss_bound) {
+            (half_max_bound, true)
+        } else {
+            let split_bound = dropped_greedy_weight(g, &kept).saturating_mul(2);
+            let bound = split_bound.min(half_max_bound);
+            (bound, loss_certificate_holds(w_p, bound, cfg.loss_bound))
+        }
+    };
     let certificate = PruneCertificate {
         kept_edges: kept.len() as u64,
-        dropped_edges: dropped.len() as u64,
-        pruned_weight: matching.total_weight,
+        dropped_edges,
+        pruned_weight: w_p,
         dropped_bound,
         holds,
     };
@@ -303,11 +361,61 @@ pub fn pruned_maximum_weight_matching_sparse(g: &SparseGraph, cfg: &PruneConfig)
         }
     } else {
         PruneOutcome {
-            matching: maximum_weight_matching_sparse(g),
+            matching: exact(g),
             certificate,
             fell_back: true,
         }
     }
+}
+
+/// Greedy matching weight over the edges of `g` missing from `kept`
+/// (sorted by `(u, v)`) — the split bound's `greedy(D)`.
+fn dropped_greedy_weight<G: IncidentRows>(g: &G, kept: &[(i64, usize, usize)]) -> i64 {
+    let n = g.node_count();
+    let mut dropped: Vec<(i64, usize, usize)> = Vec::new();
+    let mut incident: Vec<(i64, usize)> = Vec::with_capacity(n);
+    let mut next_kept = kept.iter().map(|&(_, u, v)| (u, v)).peekable();
+    for u in 0..n {
+        incident.clear();
+        g.incident(u, &mut incident);
+        for &(w, v) in incident.iter().filter(|&&(_, v)| v > u) {
+            if next_kept.next_if_eq(&(u, v)).is_none() {
+                dropped.push((w, u, v));
+            }
+        }
+    }
+    greedy_matching_on_edges(n, &mut dropped).total_weight
+}
+
+impl IncidentRows for SparseGraph {
+    fn node_count(&self) -> usize {
+        self.n
+    }
+
+    fn degree(&self, u: usize) -> usize {
+        SparseGraph::degree(self, u)
+    }
+
+    fn incident(&self, u: usize, out: &mut Vec<(i64, usize)>) {
+        let (cols, weights) = self.neighbors(u);
+        out.extend(
+            weights
+                .iter()
+                .copied()
+                .zip(cols.iter().map(|&c| c as usize)),
+        );
+    }
+}
+
+/// Maximum-weight matching on a CSR graph via diversified top-m pruning
+/// with the same a-posteriori certificate as the dense
+/// [`crate::pruned_maximum_weight_matching`]: `W_p` within `loss_bound`
+/// of the *unpruned* optimum of `g`, or an exact re-run on the unpruned
+/// sparse graph with `fell_back = true`. Both entry points run the same
+/// prune pass, so on a CSR graph holding a dense graph's edges the kept
+/// set, certificate, and matching are bit-identical to the dense path.
+pub fn pruned_maximum_weight_matching_sparse(g: &SparseGraph, cfg: &PruneConfig) -> PruneOutcome {
+    prune_and_solve(g, cfg, maximum_weight_matching_sparse)
 }
 
 #[cfg(test)]
@@ -452,6 +560,5 @@ mod tests {
         let m = maximum_weight_matching_sparse(&g);
         assert_eq!(m.total_weight, 7);
         assert_eq!(m.pairs(), vec![(0, 1)]);
-        assert_eq!(half_max_sum_sparse(&g), 7);
     }
 }

@@ -85,9 +85,10 @@ fn run_replica(synth: &SynthConfig, sim: &SimConfig, i: usize) -> Observation {
 /// config re-seeded per replica) under one scheduler configuration.
 ///
 /// Replicas are independent (each gets its own deterministically derived
-/// seed), so they run on scoped worker threads — the same striped
-/// pattern as `DenseGraph::build_symmetric`: each worker owns a disjoint
-/// slice of the result vector, writes are contention-free, and the
+/// seed), so they run on scoped worker threads — the same chunked
+/// pattern as the sharded planner's template solves
+/// (`muri_core::shard`): each worker owns a disjoint slice of the
+/// result vector, writes are contention-free, and the
 /// summary is computed from the replica-ordered observations, so the
 /// output is bit-identical to the sequential run.
 pub fn replicate(synth: &SynthConfig, sim: &SimConfig, replicas: usize) -> ReplicatedMetrics {

@@ -15,41 +15,47 @@
 #      relies on (including the serve daemon bench), run with `--test`
 #      (each body executes once, untimed) so a broken bench fails CI
 #      instead of the baseline workflow
-#   6. telemetry smoke   a 20-job simulation with all three telemetry
+#   6. perfbench tests   the repo benchmark's self-tests (cargo test
+#      --release --manifest-path perfbench/Cargo.toml): the wrapping event
+#      queue and the telemetry reader leave the report alone and every
+#      printed metric is declared in BENCHMARK.json, so a planner
+#      telemetry change that breaks the bench's planning_pass reader or
+#      digest check fails CI
+#   7. telemetry smoke   a 20-job simulation with all three telemetry
 #      exporters enabled, then `muri telemetry-check` validates the
 #      artifacts: the journal parses and its lifecycle ledger conserves
 #      jobs, the Chrome trace is well-formed with monotonic timestamps,
 #      and the Prometheus text round-trips the golden parser
-#   7. fault smoke       a 20-job simulation under the machine-level
+#   8. fault smoke       a 20-job simulation under the machine-level
 #      fault battery (machine faults + repair, a degraded machine,
 #      periodic checkpointing) with the journal exported, then
 #      `muri telemetry-check` proves the faulty run's lifecycle ledger
 #      still conserves jobs
-#   8. hostile smoke     the hostile-cluster scenario suite: a seeded
+#   9. hostile smoke     the hostile-cluster scenario suite: a seeded
 #      spot-eviction + heterogeneous-GPU simulation with the journal
 #      exported and validated by `muri telemetry-check`, then an
 #      audited `muri verify` replay with all four scenarios active
 #      (spot, hetero, elastic, SLO) — zero violations required
-#   9. pruning smoke     two checks on trace 2: at --scale 0.02 every
+#  10. pruning smoke     two checks on trace 2: at --scale 0.02 every
 #      bucket fits the small-graph shortcut (n <= top_m + 1), so default
 #      sparsification and --prune-top-m 0 must produce byte-identical
 #      reports; at --scale 0.1 buckets are large enough that edges are
 #      really dropped, so the run only has to complete cleanly — the
 #      certificate bounds (but does not zero) the matching-weight
 #      difference, and the report may legitimately differ from dense
-#  10. sharded smoke     two checks on trace 2 at --scale 0.1: with one
+#  11. sharded smoke     two checks on trace 2 at --scale 0.1: with one
 #      giant forced shard and pruning off, the sharded planner builds
 #      the full candidate graph and solves it exactly, so its report
 #      must be byte-identical to the unsharded dense run; then an
 #      audited `muri verify` replay with sharding forced must finish
 #      with zero violations (the sharded plan's stated pair weights and
 #      composed loss certificate both survive independent recomputation)
-#  11. serve smoke       the always-on daemon end to end: boot
+#  12. serve smoke       the always-on daemon end to end: boot
 #      `muri serve` on an ephemeral port, drive it over HTTP with
 #      `muri serve-load` (submit, poll to completion, fetch the
 #      journal, shut down gracefully), validate the fetched journal
 #      with `muri telemetry-check`, and require daemon exit code 0
-#  12. serve crash smoke  durability end to end: boot a daemon with
+#  13. serve crash smoke  durability end to end: boot a daemon with
 #      `--state DIR`, submit load without waiting, SIGKILL it, restart
 #      with `--recover` (the boot-time recovery-replay audit must
 #      report clean), drive the recovered daemon to completion,
@@ -93,6 +99,9 @@ cargo test --workspace -q --features muri-sim/audit,muri-core/audit
 
 echo "==> bench smoke (scalability + algorithms + serve, --test mode)"
 cargo bench -p muri-bench --bench scalability --bench algorithms --bench serve -- --test
+
+echo "==> perfbench self-tests (benchmark readers and metric declarations)"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 echo "==> telemetry smoke (20-job sim, all three exporters, validated)"
 tmpdir=$(mktemp -d)
