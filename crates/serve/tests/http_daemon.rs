@@ -410,3 +410,47 @@ fn durable_daemon_recovers_jobs_across_restart() {
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `n` nested arrays: `[[[...]]]`.
+fn nested_arrays(n: usize) -> String {
+    "[".repeat(n) + &"]".repeat(n)
+}
+
+/// The JSON parser bounds its nesting depth at 128, as upstream
+/// serde_json does: a document at the limit parses, one past it is a
+/// parse error instead of a stack overflow.
+#[test]
+fn json_nesting_is_bounded_at_128() {
+    assert!(serde_json::from_str::<Value>(&nested_arrays(128)).is_ok());
+    let mut objects = "{\"a\":".repeat(127) + "{}";
+    objects.push_str(&"}".repeat(127));
+    assert!(serde_json::from_str::<Value>(&objects).is_ok());
+    let err = serde_json::from_str::<Value>(&nested_arrays(129)).expect_err("past the limit");
+    assert!(err.to_string().contains("recursion limit"), "{err}");
+}
+
+/// Regression: a submit body of 200k `[` then 200k `]` (400 KB, under
+/// the body cap) used to overflow the parser's stack and abort the
+/// whole daemon. It is now a bad submit body (400) and the daemon keeps
+/// serving.
+#[test]
+fn deeply_nested_submit_body_is_refused_with_400() {
+    let bound = bind(base_cfg()).expect("bind");
+    let addr = bound.addr().to_string();
+
+    std::thread::scope(|s| {
+        let server = s.spawn(move || bound.run());
+        let mut c = HttpClient::connect(&addr).expect("connect");
+        let (st, body) = c
+            .post("/v1/jobs", &nested_arrays(200_000))
+            .expect("deep submit");
+        assert_eq!(st, 400, "{body}");
+
+        let mut c = HttpClient::connect(&addr).expect("reconnect");
+        let (st, _) = c.get("/v1/healthz").expect("healthz after deep submit");
+        assert_eq!(st, 200);
+        let (st, _) = c.post("/v1/shutdown", "").expect("shutdown");
+        assert_eq!(st, 200);
+        server.join().expect("join").expect("clean exit");
+    });
+}
