@@ -7,27 +7,26 @@
 //! tests and benches.
 
 use crate::graph::{DenseGraph, Matching};
+use crate::sparse_graph::IncidentRows;
 
-/// Greedy maximum-weight matching (≥ ½ of optimal).
-///
-/// Scans weight rows directly and skips all-zero rows, so sparse/pruned
-/// graphs only pay for the edges they actually carry instead of the full
-/// `O(n²)` cell walk. Pruned callers that already hold a candidate edge
-/// list should use [`greedy_matching_on_edges`] and skip the scan
-/// entirely.
+/// Greedy maximum-weight matching (≥ ½ of optimal). Pruned callers
+/// that already hold a candidate edge list should use
+/// [`greedy_matching_on_edges`] and skip the row scan entirely.
 pub fn greedy_matching(g: &DenseGraph) -> Matching {
-    let n = g.len();
+    on_rows(g)
+}
+
+/// Greedy matching over any row-readable graph: collect each edge once
+/// (`u < v`) from the positive incident rows, then pick greedily. The
+/// dense and CSR entry points share it.
+pub(crate) fn on_rows<G: IncidentRows>(g: &G) -> Matching {
+    let n = g.node_count();
     let mut edges: Vec<(i64, usize, usize)> = Vec::new();
+    let mut row = Vec::new();
     for u in 0..n {
-        let row = &g.row(u)[u + 1..];
-        if row.iter().all(|&w| w == 0) {
-            continue;
-        }
-        for (i, &w) in row.iter().enumerate() {
-            if w > 0 {
-                edges.push((w, u, u + 1 + i));
-            }
-        }
+        row.clear();
+        g.incident(u, &mut row);
+        edges.extend(row.iter().filter(|&&(_, v)| v > u).map(|&(w, v)| (w, u, v)));
     }
     greedy_matching_on_edges(n, &mut edges)
 }
