@@ -203,7 +203,8 @@ impl ServeCore {
         log: &[OpRecord],
     ) -> Result<(Self, RecoverySummary), String> {
         let sig = sim_signature(boot.cfg);
-        let merged = merge_ops(snapshot, log, OPLOG_VERSION, &sig)?;
+        let horizon = SimTime::ZERO + boot.cfg.max_sim_time;
+        let merged = merge_ops(snapshot, log, OPLOG_VERSION, &sig, horizon)?;
         let mut core = match boot.live_time_scale {
             Some(scale) => {
                 // Resume scheduler time where the journal left off:

@@ -57,6 +57,6 @@ pub use http::HttpClient;
 pub use journal::{DurableLog, OpRecord};
 pub use proto::{parse_model, ConfigRequest, ConfigResponse, SubmitRequest, SubmitResponse};
 pub use realtime::{RealTimeQueue, WallClock};
-pub use recover::{recover_from_dir, RecoverBoot, RecoverySummary};
+pub use recover::{recover_from_dir, MergeError, RecoverBoot, RecoverySummary};
 pub use server::{bind, serve, BoundServer, ServerConfig};
 pub use tenant::{TenantConfig, TenantRegistry};

@@ -9,7 +9,9 @@
 //! strictly greater seq) replays both identically. Headers are
 //! validated first — wrong format version or a config signature that
 //! does not match the booting cluster refuses recovery instead of
-//! silently replaying a foreign journal.
+//! silently replaying a foreign journal. So does an op timed past the
+//! config's simulation horizon: replaying it would drive the clock
+//! through every periodic tick up to the end of time.
 //!
 //! [`ServeCore::recover`] then replays the merged ops through the same
 //! apply paths the live daemon uses; see `core.rs` for the exactness
@@ -22,6 +24,7 @@ use muri_sim::SimConfig;
 use muri_telemetry::TelemetrySink;
 use muri_workload::SimTime;
 use serde::Serialize;
+use std::fmt;
 use std::path::Path;
 
 /// Everything a recovery boot needs besides the journal itself —
@@ -65,6 +68,46 @@ pub struct RecoverySummary {
     pub resume_time_us: u64,
     /// First job id the recovered daemon will issue.
     pub next_id: u32,
+}
+
+/// Why a snapshot + op-log pair cannot be replayed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MergeError {
+    /// A missing, foreign or stale header, an interior header, or seqs
+    /// that do not strictly increase.
+    Invalid(String),
+    /// An op is timed past the config's simulation horizon.
+    PastHorizon {
+        /// The op's seq.
+        seq: u64,
+        /// The op's scheduler time.
+        time: SimTime,
+        /// `SimTime::ZERO + max_sim_time` of the booting config.
+        horizon: SimTime,
+    },
+}
+
+impl fmt::Display for MergeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MergeError::Invalid(msg) => f.write_str(msg),
+            MergeError::PastHorizon { seq, time, horizon } => write!(
+                f,
+                "op {seq} is timed at {} µs, past the simulation horizon of {} µs; \
+                 refusing to replay it",
+                time.as_micros(),
+                horizon.as_micros()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MergeError {}
+
+impl From<MergeError> for String {
+    fn from(e: MergeError) -> String {
+        e.to_string()
+    }
 }
 
 /// A validated, deduplicated op sequence ready to replay.
@@ -143,16 +186,19 @@ fn split_header<'a>(
 /// Merge a snapshot + live-log pair into one replayable sequence.
 /// Snapshot ops win; live-log ops are kept only past the snapshot's
 /// last seq (the post-compaction-crash overlap dedups here). Seqs must
-/// come out strictly increasing, and no interior record may be a
-/// header.
+/// come out strictly increasing, no interior record may be a header,
+/// and no op may be timed past `horizon`.
 pub fn merge_ops(
     snapshot: &[OpRecord],
     log: &[OpRecord],
     version: u32,
     sim_sig: &str,
-) -> Result<MergedOps, String> {
-    let ((snap_seq, snap_id), snap_ops) = split_header(snapshot, "snapshot", version, sim_sig)?;
-    let ((log_seq, log_id), log_ops) = split_header(log, "op log", version, sim_sig)?;
+    horizon: SimTime,
+) -> Result<MergedOps, MergeError> {
+    let ((snap_seq, snap_id), snap_ops) =
+        split_header(snapshot, "snapshot", version, sim_sig).map_err(MergeError::Invalid)?;
+    let ((log_seq, log_id), log_ops) =
+        split_header(log, "op log", version, sim_sig).map_err(MergeError::Invalid)?;
     let last_snap_seq = snap_ops.iter().filter_map(OpRecord::seq).max().unwrap_or(0);
     let mut ops: Vec<OpRecord> = snap_ops.to_vec();
     ops.extend(
@@ -166,16 +212,22 @@ pub fn merge_ops(
     let mut max_spec_id = None::<u32>;
     for op in &ops {
         let Some(seq) = op.seq() else {
-            return Err(format!("interior {:?} record in merged ops", op.kind()));
+            return Err(MergeError::Invalid(format!(
+                "interior {:?} record in merged ops",
+                op.kind()
+            )));
         };
         if seq <= prev {
-            return Err(format!(
+            return Err(MergeError::Invalid(format!(
                 "op seqs not strictly increasing: {seq} after {prev}"
-            ));
+            )));
         }
         prev = seq;
-        if let Some(t) = op.time() {
-            resume_time = resume_time.max(t);
+        if let Some(time) = op.time() {
+            if time > horizon {
+                return Err(MergeError::PastHorizon { seq, time, horizon });
+            }
+            resume_time = resume_time.max(time);
         }
         if let OpRecord::Submit { spec, .. } = op {
             max_spec_id = Some(max_spec_id.map_or(spec.id.0, |m| m.max(spec.id.0)));
@@ -216,6 +268,8 @@ mod tests {
     use crate::journal::OPLOG_VERSION;
     use muri_workload::{JobId, JobSpec, ModelKind};
 
+    const HORIZON: SimTime = SimTime(u64::MAX);
+
     fn header(next_seq: u64, next_id: u32) -> OpRecord {
         OpRecord::Header {
             version: OPLOG_VERSION,
@@ -246,7 +300,7 @@ mod tests {
         // the snapshot already absorbed, plus fresh op 3.
         let snapshot = vec![header(3, 2), submit(1, 0), submit(2, 1)];
         let log = vec![header(1, 0), submit(1, 0), submit(2, 1), submit(3, 2)];
-        let merged = merge_ops(&snapshot, &log, OPLOG_VERSION, "sig").expect("merge");
+        let merged = merge_ops(&snapshot, &log, OPLOG_VERSION, "sig", HORIZON).expect("merge");
         let seqs: Vec<u64> = merged.ops.iter().filter_map(OpRecord::seq).collect();
         assert_eq!(seqs, vec![1, 2, 3]);
         assert_eq!(merged.next_seq_floor, 4);
@@ -258,18 +312,43 @@ mod tests {
     fn merge_refuses_foreign_and_corrupt_journals() {
         let snapshot = vec![header(1, 0)];
         let log = vec![header(1, 0)];
-        assert!(merge_ops(&snapshot, &log, OPLOG_VERSION, "other-sig")
-            .unwrap_err()
-            .contains("signature mismatch"));
-        assert!(merge_ops(&snapshot, &log, OPLOG_VERSION + 1, "sig")
-            .unwrap_err()
-            .contains("version"));
-        assert!(merge_ops(&[], &log, OPLOG_VERSION, "sig").is_err());
+        assert!(
+            merge_ops(&snapshot, &log, OPLOG_VERSION, "other-sig", HORIZON)
+                .unwrap_err()
+                .to_string()
+                .contains("signature mismatch")
+        );
+        assert!(
+            merge_ops(&snapshot, &log, OPLOG_VERSION + 1, "sig", HORIZON)
+                .unwrap_err()
+                .to_string()
+                .contains("version")
+        );
+        assert!(merge_ops(&[], &log, OPLOG_VERSION, "sig", HORIZON).is_err());
         // Non-increasing seqs are corruption, not a crash artifact.
         let bad = vec![header(1, 0), submit(2, 0), submit(2, 1)];
-        assert!(merge_ops(&bad, &log, OPLOG_VERSION, "sig")
+        assert!(merge_ops(&bad, &log, OPLOG_VERSION, "sig", HORIZON)
             .unwrap_err()
+            .to_string()
             .contains("strictly increasing"));
+    }
+
+    #[test]
+    fn merge_refuses_ops_past_the_horizon() {
+        let snapshot = vec![header(1, 0)];
+        let log = vec![header(1, 0), submit(1, 0), submit(2, 1)];
+        let horizon = SimTime::from_secs(1);
+        assert_eq!(
+            merge_ops(&snapshot, &log, OPLOG_VERSION, "sig", horizon).unwrap_err(),
+            MergeError::PastHorizon {
+                seq: 2,
+                time: SimTime::from_secs(2),
+                horizon,
+            }
+        );
+        // An op exactly at the horizon still replays.
+        let merged = merge_ops(&snapshot, &log[..2], OPLOG_VERSION, "sig", horizon);
+        assert_eq!(merged.expect("at the horizon").resume_time, horizon);
     }
 
     #[test]
@@ -320,7 +399,7 @@ mod tests {
         // a recovered daemon cannot reissue a dead job's id.
         let snapshot = vec![header(6, 5), submit(1, 0)];
         let log = vec![header(6, 5)];
-        let merged = merge_ops(&snapshot, &log, OPLOG_VERSION, "sig").expect("merge");
+        let merged = merge_ops(&snapshot, &log, OPLOG_VERSION, "sig", HORIZON).expect("merge");
         assert_eq!(merged.next_id_floor, 5);
         assert_eq!(merged.next_seq_floor, 6);
     }

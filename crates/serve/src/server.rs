@@ -192,7 +192,8 @@ fn validate_recovery(cfg: &ServerConfig) -> Result<(), String> {
     };
     let (snapshot, log) = journal::load_state(Path::new(dir))?;
     let sig = crate::core::sim_signature(&cfg.sim);
-    crate::recover::merge_ops(&snapshot, &log, journal::OPLOG_VERSION, &sig)?;
+    let horizon = muri_workload::SimTime::ZERO + cfg.sim.max_sim_time;
+    crate::recover::merge_ops(&snapshot, &log, journal::OPLOG_VERSION, &sig, horizon)?;
     Ok(())
 }
 

@@ -454,3 +454,32 @@ fn deeply_nested_submit_body_is_refused_with_400() {
         server.join().expect("join").expect("clean exit");
     });
 }
+
+/// Regression: a job of `u64::MAX` iterations used to overflow the
+/// completion-time addition and panic the scheduler thread, killing the
+/// daemon. Time arithmetic saturates now: the job is accepted, simply
+/// never finishes, and the daemon keeps serving and shuts down cleanly.
+#[test]
+fn endless_job_submit_leaves_the_daemon_serving() {
+    let bound = bind(base_cfg()).expect("bind");
+    let addr = bound.addr().to_string();
+
+    std::thread::scope(|s| {
+        let server = s.spawn(move || bound.run());
+        let mut c = HttpClient::connect(&addr).expect("connect");
+        let (st, body) = c
+            .post(
+                "/v1/jobs",
+                "{\"model\":\"ResNet18\",\"num_gpus\":1,\"iterations\":18446744073709551615}",
+            )
+            .expect("endless submit");
+        assert_eq!(st, 200, "{body}");
+
+        let mut c = HttpClient::connect(&addr).expect("reconnect");
+        let (st, _) = c.get("/v1/healthz").expect("healthz after endless submit");
+        assert_eq!(st, 200);
+        let (st, _) = c.post("/v1/shutdown", "").expect("shutdown");
+        assert_eq!(st, 200);
+        server.join().expect("join").expect("clean exit");
+    });
+}

@@ -11,7 +11,9 @@
 
 use muri_core::{PlanMode, PolicyKind, SchedulerConfig};
 use muri_serve::journal::DEFAULT_SNAPSHOT_EVERY;
-use muri_serve::{recover_from_dir, OpRecord, RecoverBoot, ServeCore, ServeLimits, SubmitRequest};
+use muri_serve::{
+    recover_from_dir, MergeError, OpRecord, RecoverBoot, ServeCore, ServeLimits, SubmitRequest,
+};
 use muri_sim::SimConfig;
 use muri_telemetry::TelemetrySink;
 use muri_workload::SimTime;
@@ -164,6 +166,73 @@ fn recovery_replays_rolling_config_and_completions() {
     // The replayed completion cross-check matches the engine's state.
     let view = recovered.status(0).expect("job 0 known after recovery");
     assert_eq!(view.status.iterations_done, view.status.iterations_total);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A state directory whose op log holds one journaled submit, with
+/// `field` of that submit record rewritten to `u64::MAX`.
+fn state_with_extreme_submit(cfg: &SimConfig, tag: &str, field: &str) -> PathBuf {
+    let dir = scratch_dir(tag);
+    let mut core = fresh_core(cfg, "serve");
+    core.attach_durable(&dir, DEFAULT_SNAPSHOT_EVERY)
+        .expect("attach");
+    apply_ops(&mut core, &[(1, Op::Submit { gpus: 1, iters: 7 })]);
+    core.sync_journal().expect("sync");
+    drop(core);
+    let path = dir.join(muri_serve::journal::OPLOG_FILE);
+    let log = std::fs::read_to_string(&path).expect("read op log");
+    let value = match field {
+        "iterations" => "7",
+        "time_us" => "1000000",
+        other => panic!("no such field {other}"),
+    };
+    let from = format!("\"{field}\":{value}");
+    let to = format!("\"{field}\":{}", u64::MAX);
+    assert_eq!(log.matches(&from).count(), 1, "{log}");
+    std::fs::write(&path, log.replace(&from, &to)).expect("rewrite op log");
+    dir
+}
+
+/// Regression: a journaled submit of `u64::MAX` iterations used to
+/// panic every `--recover` boot on the completion-time addition. Time
+/// arithmetic saturates now, so the job replays and simply never ends.
+#[test]
+fn recovery_replays_an_endless_job() {
+    let cfg = SimConfig::testbed(SchedulerConfig::preset(PolicyKind::MuriL));
+    let dir = state_with_extreme_submit(&cfg, "endless", "iterations");
+    let (recovered, summary) =
+        recover_from_dir(boot(&cfg, "serve"), &dir, DEFAULT_SNAPSHOT_EVERY).expect("recover");
+    assert_eq!(summary.submits, 1);
+    let view = recovered.status(0).expect("job 0 known after recovery");
+    assert_eq!(view.status.iterations_total, u64::MAX);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Regression: an op timed at `u64::MAX` µs used to panic every
+/// `--recover` boot, and with saturating time it would replay every
+/// periodic tick up to the end of time instead. The merge refuses it
+/// with a typed error.
+#[test]
+fn recovery_refuses_an_op_past_the_horizon() {
+    let cfg = SimConfig::testbed(SchedulerConfig::preset(PolicyKind::MuriL));
+    let dir = state_with_extreme_submit(&cfg, "horizon", "time_us");
+    let (snapshot, log) = muri_serve::journal::load_state(&dir).expect("load");
+    let err = muri_serve::recover::merge_ops(
+        &snapshot,
+        &log,
+        muri_serve::journal::OPLOG_VERSION,
+        &muri_serve::sim_signature(&cfg),
+        SimTime::ZERO + cfg.max_sim_time,
+    )
+    .expect_err("past the horizon");
+    assert!(
+        matches!(err, MergeError::PastHorizon { time, .. } if time.as_micros() == u64::MAX),
+        "{err:?}"
+    );
+    let Err(err) = recover_from_dir(boot(&cfg, "serve"), &dir, DEFAULT_SNAPSHOT_EVERY) else {
+        panic!("an op past the horizon must refuse the boot");
+    };
+    assert!(err.contains("horizon"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -133,16 +133,18 @@ impl SimDuration {
     }
 }
 
+/// Saturates at the end of time, as `Mul` and `Sub` saturate: a job of
+/// `u64::MAX` iterations finishes "never", not in a wrapped past.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -153,16 +155,17 @@ impl Sub<SimDuration> for SimTime {
     }
 }
 
+/// Saturating, like `SimTime + SimDuration`.
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -279,6 +282,19 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_secs(90)), "1.50m");
         assert_eq!(format!("{}", SimDuration::from_hours(2)), "2.00h");
         assert_eq!(format!("{}", SimDuration::MAX), "inf");
+    }
+
+    #[test]
+    fn addition_saturates_at_the_end_of_time() {
+        let far = SimTime::ZERO + SimDuration::from_micros(u64::MAX - 1);
+        assert_eq!((far + SimDuration::from_secs(1)).as_micros(), u64::MAX);
+        let mut t = far;
+        t += SimDuration::MAX;
+        assert_eq!(t.as_micros(), u64::MAX);
+        let mut d = SimDuration::MAX;
+        assert_eq!(d + SimDuration::from_secs(1), SimDuration::MAX);
+        d += SimDuration::from_secs(1);
+        assert_eq!(d, SimDuration::MAX);
     }
 
     #[test]

@@ -51,7 +51,8 @@
 #      with zero violations (the sharded plan's stated pair weights and
 #      composed loss certificate both survive independent recomputation)
 #  12. serve smoke       the always-on daemon end to end: boot
-#      `muri serve` on an ephemeral port, drive it over HTTP with
+#      `muri serve` on an ephemeral port, submit one job of u64::MAX
+#      iterations (it must not kill the daemon), drive it over HTTP with
 #      `muri serve-load` (submit, poll to completion, fetch the
 #      journal, shut down gracefully), validate the fetched journal
 #      with `muri telemetry-check`, and require daemon exit code 0
@@ -194,6 +195,10 @@ if [ -z "$serve_addr" ]; then
     kill "$serve_pid" 2>/dev/null || true
     exit 1
 fi
+# One job of u64::MAX iterations first: it must be accepted and must
+# neither kill the daemon nor keep the rest of the load from finishing.
+cargo run -q -p muri-cli -- serve-load --addr "$serve_addr" \
+    --jobs 1 --gpus 1 --iters 18446744073709551615 --no-wait
 cargo run -q -p muri-cli -- serve-load --addr "$serve_addr" \
     --jobs 6 --gpus 2 --iters 20 \
     --journal "$tmpdir/serve_journal.jsonl" --shutdown
