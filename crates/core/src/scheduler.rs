@@ -18,11 +18,9 @@
 //! 5. groups are placed in descending order of GPU count, which "avoids
 //!    fragmentation and minimizes the number of nodes used by a job" (§5).
 
-use crate::grouping::{
-    capacity_aware_grouping_timed, BucketInput, GroupingConfig, GroupingMode, GroupingTimings,
-};
+use crate::grouping::{BucketInput, GroupingConfig, GroupingMode, GroupingTimings};
+use crate::planner::Planner;
 use crate::policy::{PendingJob, PolicyKind};
-use crate::{gamma_cache, round_cache};
 use muri_interleave::{GroupMember, InterleaveGroup};
 use muri_telemetry::{CacheDelta, Event, PhaseTimer, PlanPhases, TelemetrySink};
 use muri_workload::{SimDuration, SimTime};
@@ -86,229 +84,233 @@ pub struct PlannedGroup {
     pub num_gpus: u32,
 }
 
-/// Plan one scheduling round. `pending` is the queue (plus preempted
-/// running jobs for preemptive policies); `free_gpus` is the capacity
-/// available for (re)placement. Returns groups in placement order;
-/// their GPU demands sum to at most `free_gpus`.
+/// Plan one scheduling round on a fresh [`Planner`]. `pending` is the
+/// queue (plus preempted running jobs for preemptive policies);
+/// `free_gpus` is the capacity available for (re)placement. Returns
+/// groups in placement order; their GPU demands sum to at most
+/// `free_gpus`. Callers that plan repeatedly keep one [`Planner`] and
+/// call [`Planner::plan_pass`] instead, so its memos carry over.
 pub fn plan_schedule(
     cfg: &SchedulerConfig,
     pending: &[PendingJob],
     free_gpus: u32,
     now: SimTime,
 ) -> Vec<PlannedGroup> {
-    plan_schedule_with(cfg, pending, free_gpus, now, &TelemetrySink::disabled())
+    Planner::new(*cfg).plan_pass(pending, free_gpus, now, &TelemetrySink::disabled())
 }
 
-/// [`plan_schedule`] with a telemetry sink: when the sink is enabled the
-/// pass emits one [`Event::PlanningPass`] (per-phase wall-clock
-/// durations, γ-/round-cache hit deltas) and one [`Event::GroupFormed`]
-/// per planned group. A disabled sink takes the exact untimed path.
-pub fn plan_schedule_with(
-    cfg: &SchedulerConfig,
-    pending: &[PendingJob],
-    free_gpus: u32,
-    now: SimTime,
-    sink: &TelemetrySink,
-) -> Vec<PlannedGroup> {
-    let enabled = sink.is_enabled();
-    let mut timer = PhaseTimer::start(enabled);
-    let (gamma_before, round_before) = if enabled {
-        (gamma_cache::stats(), round_cache::stats())
-    } else {
-        (Default::default(), Default::default())
-    };
+impl Planner {
+    /// Plan one scheduling round (see [`plan_schedule`]) through this
+    /// planner's memos, and spend its dirty-class marks: a full pass has
+    /// seen every class. When `sink` is enabled the pass emits one
+    /// [`Event::PlanningPass`] (per-phase wall-clock durations, γ- and
+    /// round-memo hit deltas) and one [`Event::GroupFormed`] per planned
+    /// group. A disabled sink takes the exact untimed path.
+    pub fn plan_pass(
+        &mut self,
+        pending: &[PendingJob],
+        free_gpus: u32,
+        now: SimTime,
+        sink: &TelemetrySink,
+    ) -> Vec<PlannedGroup> {
+        let cfg = self.cfg;
+        let enabled = sink.is_enabled();
+        let mut timer = PhaseTimer::start(enabled);
+        let (gamma_before, round_before) = if enabled {
+            (self.gamma.stats(), self.rounds.stats())
+        } else {
+            (Default::default(), Default::default())
+        };
 
-    // 1. Priority order.
-    let mut jobs: Vec<PendingJob> = pending.to_vec();
-    cfg.policy.sort(&mut jobs, now);
-    let sort_us = timer.lap();
+        // 1. Priority order.
+        let mut jobs: Vec<PendingJob> = pending.to_vec();
+        cfg.policy.sort(&mut jobs, now);
+        let sort_us = timer.lap();
 
-    // 2. Admission: first n jobs that can fully utilize the cluster when
-    //    groups reach the pack factor.
-    let budget = u64::from(free_gpus) * cfg.pack_factor() as u64;
-    let mut admitted: Vec<PendingJob> = Vec::new();
-    let mut admitted_gpus = 0u64;
-    for job in &jobs {
-        if job.num_gpus > free_gpus {
-            continue; // cannot be placed this round at all
-        }
-        if admitted_gpus + u64::from(job.num_gpus) > budget {
-            continue; // keep scanning: smaller jobs may still fit (backfill)
-        }
-        admitted_gpus += u64::from(job.num_gpus);
-        admitted.push(*job);
-    }
-    let admission_us = timer.lap();
-
-    // 3. Buckets by GPU count (grouping never crosses buckets). Each
-    //    entry keeps its *global* priority rank for capacity selection.
-    let mut buckets: BTreeMap<u32, Vec<(PendingJob, usize)>> = BTreeMap::new();
-    for (global_rank, job) in admitted.into_iter().enumerate() {
-        buckets
-            .entry(job.num_gpus)
-            .or_default()
-            .push((job, global_rank));
-    }
-
-    // 4. Group each bucket, merging only as far as the free capacity
-    //    requires (capacity-aware Algorithm 1). Bucket vectors are already
-    //    in priority order. When a bucket's contents are unchanged since
-    //    the previous tick — the common case between job events — its
-    //    round-1 edge weights and matching come straight from the
-    //    thread-local round cache instead of being recomputed (see
-    //    crate::round_cache).
-    let bucket_list: Vec<(&u32, &Vec<(PendingJob, usize)>)> = buckets.iter().rev().collect();
-    let inputs: Vec<BucketInput> = bucket_list
-        .iter()
-        .map(|(&gpus, jobs)| BucketInput {
-            gpus,
-            profiles: jobs.iter().map(|(j, _)| j.profile).collect(),
-        })
-        .collect();
-    let bucketing_us = timer.lap();
-    let mut grouping_timings = GroupingTimings::default();
-    let grouped = capacity_aware_grouping_timed(
-        &inputs,
-        free_gpus,
-        &cfg.grouping,
-        enabled.then_some(&mut grouping_timings),
-    );
-    let mut planned: Vec<(PlannedGroup, usize)> = Vec::new(); // (group, best rank)
-    for ((&num_gpus, bucket), groups) in bucket_list.into_iter().zip(grouped) {
-        for idxs in groups {
-            let members: Vec<GroupMember> = idxs
-                .iter()
-                .map(|&i| GroupMember {
-                    job: bucket[i].0.id,
-                    profile: bucket[i].0.profile,
-                })
-                .collect();
-            // Grouping never emits empty groups; skip one if it ever did.
-            let Some(best_rank) = idxs.iter().map(|&i| bucket[i].1).min() else {
-                continue;
-            };
-            planned.push((
-                PlannedGroup {
-                    group: InterleaveGroup::form(members, cfg.grouping.ordering),
-                    num_gpus,
-                },
-                best_rank,
-            ));
-        }
-    }
-
-    let grouping_us = timer.lap();
-
-    // 5. Capacity selection by *priority* (a group's rank is its best
-    //    member's queue position): high-priority groups claim capacity
-    //    first, lower-priority ones backfill what remains.
-    planned.sort_by_key(|a| a.1);
-    let mut accepted = Vec::new();
-    let mut left = free_gpus;
-    for (group, rank) in planned {
-        if group.num_gpus <= left {
-            left -= group.num_gpus;
-            accepted.push((group, rank));
-        }
-    }
-    // 5b. Relaxation: if chunky multi-GPU groups left capacity idle,
-    //     spend it by splitting members out of packed groups — spreading
-    //     always beats sharing next to an idle GPU. (Gated with
-    //     `capacity_aware` so the DESIGN.md 5b.3 ablation measures the
-    //     literal always-group-maximally behavior.)
-    if cfg.grouping.capacity_aware {
-        loop {
-            let candidate = accepted
-                .iter()
-                .enumerate()
-                .filter(|(_, (g, _))| g.group.len() > 1 && g.num_gpus <= left)
-                .max_by_key(|(_, (g, _))| g.group.len());
-            let Some((idx, _)) = candidate else {
-                break;
-            };
-            let (group, rank) = &mut accepted[idx];
-            // The filter above guarantees `len() > 1`, so a member exists.
-            let Some(split) = group.group.members.pop() else {
-                break;
-            };
-            let remaining = std::mem::take(&mut group.group.members);
-            group.group = InterleaveGroup::form(remaining, cfg.grouping.ordering);
-            left -= group.num_gpus;
-            let num_gpus = group.num_gpus;
-            let rank = *rank;
-            accepted.push((
-                PlannedGroup {
-                    group: InterleaveGroup::form(vec![split], cfg.grouping.ordering),
-                    num_gpus,
-                },
-                rank + 1,
-            ));
-        }
-    }
-
-    // 6. Physical placement order among the accepted groups: descending
-    //    GPU count, which "avoids fragmentation and minimizes the number
-    //    of nodes used by a job" (§5).
-    accepted.sort_by(|a, b| b.0.num_gpus.cmp(&a.0.num_gpus).then(a.1.cmp(&b.1)));
-    let plan: Vec<PlannedGroup> = accepted.into_iter().map(|(g, _)| g).collect();
-    let selection_us = timer.lap();
-
-    if enabled {
-        sink.with(|t| {
-            for p in &plan {
-                t.emit(Event::GroupFormed {
-                    time: now,
-                    members: p.group.job_ids(),
-                    num_gpus: p.num_gpus,
-                    gamma: p.group.efficiency,
-                    iteration_time: p.group.iteration_time(),
-                    cycle: p.group.ordering.cycle.clone(),
-                    offsets: p.group.ordering.offsets.clone(),
-                });
+        // 2. Admission: first n jobs that can fully utilize the cluster when
+        //    groups reach the pack factor.
+        let budget = u64::from(free_gpus) * cfg.pack_factor() as u64;
+        let mut admitted: Vec<PendingJob> = Vec::new();
+        let mut admitted_gpus = 0u64;
+        for job in &jobs {
+            if job.num_gpus > free_gpus {
+                continue; // cannot be placed this round at all
             }
-            let gamma_after = gamma_cache::stats();
-            let round_after = round_cache::stats();
-            #[allow(clippy::cast_possible_truncation)]
-            t.emit(Event::PlanningPass {
-                time: now,
-                candidates: pending.len().min(u32::MAX as usize) as u32,
-                free_gpus,
-                planned_groups: plan.len().min(u32::MAX as usize) as u32,
-                planned_jobs: plan
-                    .iter()
-                    .map(|p| p.group.len())
-                    .sum::<usize>()
-                    .min(u32::MAX as usize) as u32,
-                phases: PlanPhases {
-                    sort_us,
-                    admission_us,
-                    bucketing_us,
-                    grouping_us,
-                    graph_build_us: grouping_timings.graph_build_us,
-                    matching_us: grouping_timings.matching_us,
-                    matching_rounds: grouping_timings.rounds,
-                    pruned_edges: grouping_timings.pruned_edges,
-                    prune_fallbacks: grouping_timings.prune_fallbacks,
-                    shards: grouping_timings.shards,
-                    shard_templates: grouping_timings.shard_templates,
-                    shard_fallbacks: grouping_timings.shard_fallbacks,
-                    selection_us,
-                },
-                gamma_cache: CacheDelta {
-                    hits: gamma_after.hits.saturating_sub(gamma_before.hits),
-                    misses: gamma_after.misses.saturating_sub(gamma_before.misses),
-                },
-                round_cache: CacheDelta {
-                    hits: round_after.hits.saturating_sub(round_before.hits),
-                    misses: round_after.misses.saturating_sub(round_before.misses),
-                },
-            });
-        });
-    }
+            if admitted_gpus + u64::from(job.num_gpus) > budget {
+                continue; // keep scanning: smaller jobs may still fit (backfill)
+            }
+            admitted_gpus += u64::from(job.num_gpus);
+            admitted.push(*job);
+        }
+        let admission_us = timer.lap();
 
-    #[cfg(feature = "audit")]
-    debug_audit_plan(cfg, &jobs, free_gpus, &plan);
-    plan
+        // 3. Buckets by GPU count (grouping never crosses buckets). Each
+        //    entry keeps its *global* priority rank for capacity selection.
+        let mut buckets: BTreeMap<u32, Vec<(PendingJob, usize)>> = BTreeMap::new();
+        for (global_rank, job) in admitted.into_iter().enumerate() {
+            buckets
+                .entry(job.num_gpus)
+                .or_default()
+                .push((job, global_rank));
+        }
+
+        // 4. Group each bucket, merging only as far as the free capacity
+        //    requires (capacity-aware Algorithm 1). Bucket vectors are already
+        //    in priority order. When a bucket's contents are unchanged since
+        //    the previous pass — the common case between job events — its
+        //    round-1 edge weights and matching come straight from the
+        //    planner's round memo instead of being recomputed (see
+        //    crate::round_cache).
+        let bucket_list: Vec<(&u32, &Vec<(PendingJob, usize)>)> = buckets.iter().rev().collect();
+        let inputs: Vec<BucketInput> = bucket_list
+            .iter()
+            .map(|(&gpus, jobs)| BucketInput {
+                gpus,
+                profiles: jobs.iter().map(|(j, _)| j.profile).collect(),
+            })
+            .collect();
+        let bucketing_us = timer.lap();
+        let mut grouping_timings = GroupingTimings::default();
+        let grouped =
+            self.group_buckets(&inputs, free_gpus, enabled.then_some(&mut grouping_timings));
+        let mut planned: Vec<(PlannedGroup, usize)> = Vec::new(); // (group, best rank)
+        for ((&num_gpus, bucket), groups) in bucket_list.into_iter().zip(grouped) {
+            for idxs in groups {
+                let members: Vec<GroupMember> = idxs
+                    .iter()
+                    .map(|&i| GroupMember {
+                        job: bucket[i].0.id,
+                        profile: bucket[i].0.profile,
+                    })
+                    .collect();
+                // Grouping never emits empty groups; skip one if it ever did.
+                let Some(best_rank) = idxs.iter().map(|&i| bucket[i].1).min() else {
+                    continue;
+                };
+                planned.push((
+                    PlannedGroup {
+                        group: InterleaveGroup::form(members, cfg.grouping.ordering),
+                        num_gpus,
+                    },
+                    best_rank,
+                ));
+            }
+        }
+
+        let grouping_us = timer.lap();
+
+        // 5. Capacity selection by *priority* (a group's rank is its best
+        //    member's queue position): high-priority groups claim capacity
+        //    first, lower-priority ones backfill what remains.
+        planned.sort_by_key(|a| a.1);
+        let mut accepted = Vec::new();
+        let mut left = free_gpus;
+        for (group, rank) in planned {
+            if group.num_gpus <= left {
+                left -= group.num_gpus;
+                accepted.push((group, rank));
+            }
+        }
+        // 5b. Relaxation: if chunky multi-GPU groups left capacity idle,
+        //     spend it by splitting members out of packed groups — spreading
+        //     always beats sharing next to an idle GPU. (Gated with
+        //     `capacity_aware` so the DESIGN.md 5b.3 ablation measures the
+        //     literal always-group-maximally behavior.)
+        if cfg.grouping.capacity_aware {
+            loop {
+                let candidate = accepted
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (g, _))| g.group.len() > 1 && g.num_gpus <= left)
+                    .max_by_key(|(_, (g, _))| g.group.len());
+                let Some((idx, _)) = candidate else {
+                    break;
+                };
+                let (group, rank) = &mut accepted[idx];
+                // The filter above guarantees `len() > 1`, so a member exists.
+                let Some(split) = group.group.members.pop() else {
+                    break;
+                };
+                let remaining = std::mem::take(&mut group.group.members);
+                group.group = InterleaveGroup::form(remaining, cfg.grouping.ordering);
+                left -= group.num_gpus;
+                let num_gpus = group.num_gpus;
+                let rank = *rank;
+                accepted.push((
+                    PlannedGroup {
+                        group: InterleaveGroup::form(vec![split], cfg.grouping.ordering),
+                        num_gpus,
+                    },
+                    rank + 1,
+                ));
+            }
+        }
+
+        // 6. Physical placement order among the accepted groups: descending
+        //    GPU count, which "avoids fragmentation and minimizes the number
+        //    of nodes used by a job" (§5).
+        accepted.sort_by(|a, b| b.0.num_gpus.cmp(&a.0.num_gpus).then(a.1.cmp(&b.1)));
+        let plan: Vec<PlannedGroup> = accepted.into_iter().map(|(g, _)| g).collect();
+        let selection_us = timer.lap();
+
+        if enabled {
+            sink.with(|t| {
+                for p in &plan {
+                    t.emit(Event::GroupFormed {
+                        time: now,
+                        members: p.group.job_ids(),
+                        num_gpus: p.num_gpus,
+                        gamma: p.group.efficiency,
+                        iteration_time: p.group.iteration_time(),
+                        cycle: p.group.ordering.cycle.clone(),
+                        offsets: p.group.ordering.offsets.clone(),
+                    });
+                }
+                let gamma_after = self.gamma.stats();
+                let round_after = self.rounds.stats();
+                #[allow(clippy::cast_possible_truncation)]
+                t.emit(Event::PlanningPass {
+                    time: now,
+                    candidates: pending.len().min(u32::MAX as usize) as u32,
+                    free_gpus,
+                    planned_groups: plan.len().min(u32::MAX as usize) as u32,
+                    planned_jobs: plan
+                        .iter()
+                        .map(|p| p.group.len())
+                        .sum::<usize>()
+                        .min(u32::MAX as usize) as u32,
+                    phases: PlanPhases {
+                        sort_us,
+                        admission_us,
+                        bucketing_us,
+                        grouping_us,
+                        graph_build_us: grouping_timings.graph_build_us,
+                        matching_us: grouping_timings.matching_us,
+                        matching_rounds: grouping_timings.rounds,
+                        pruned_edges: grouping_timings.pruned_edges,
+                        prune_fallbacks: grouping_timings.prune_fallbacks,
+                        shards: grouping_timings.shards,
+                        shard_templates: grouping_timings.shard_templates,
+                        shard_fallbacks: grouping_timings.shard_fallbacks,
+                        selection_us,
+                    },
+                    gamma_cache: CacheDelta {
+                        hits: gamma_after.hits.saturating_sub(gamma_before.hits),
+                        misses: gamma_after.misses.saturating_sub(gamma_before.misses),
+                    },
+                    round_cache: CacheDelta {
+                        hits: round_after.hits.saturating_sub(round_before.hits),
+                        misses: round_after.misses.saturating_sub(round_before.misses),
+                    },
+                });
+            });
+        }
+
+        #[cfg(feature = "audit")]
+        debug_audit_plan(&cfg, &jobs, free_gpus, &plan);
+        self.spend_marks();
+        plan
+    }
 }
 
 /// Debug-build audit hook: check the finished plan against the
@@ -543,7 +545,7 @@ mod tests {
             job(4, 1, 10, gpu_heavy()),
         ];
         let sink = TelemetrySink::enabled(Telemetry::new());
-        let observed = plan_schedule_with(&cfg, &pending, 1, SimTime::ZERO, &sink);
+        let observed = Planner::new(cfg).plan_pass(&pending, 1, SimTime::ZERO, &sink);
         let plain = plan_schedule(&cfg, &pending, 1, SimTime::ZERO);
         assert_eq!(observed, plain, "telemetry must not affect planning");
         let t = sink.into_inner().unwrap();

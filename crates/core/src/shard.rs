@@ -61,6 +61,7 @@ use muri_matching::{
 use muri_workload::{ResourceKind, StageProfile, NUM_RESOURCES};
 use serde::{Deserialize, Serialize};
 
+use crate::gamma_cache::GammaMemo;
 use crate::grouping::{prune_config, ClassWeights, GroupingConfig, GroupingMode};
 
 /// When the sharded planner engages.
@@ -238,8 +239,9 @@ fn build_class_table(
     profiles: &[StageProfile],
     cfg: &GroupingConfig,
     cap: usize,
+    gamma: &mut GammaMemo,
 ) -> ClassTable {
-    let table = ClassWeights::build(nodes, profiles, cfg, cap);
+    let table = ClassWeights::build(nodes, profiles, cfg, cap, gamma);
     let classes = table.num_classes;
     let (weights, count) = (&table.weights, &table.count);
     let sigs: Vec<[u32; NUM_RESOURCES + 1]> = (0..classes)
@@ -425,7 +427,8 @@ fn plan_subset(
     pairs
 }
 
-/// Plan one matching round over `nodes` with the sharded planner.
+/// Plan one matching round over `nodes` with the sharded planner, scoring
+/// class pairs through the planner's γ memo.
 ///
 /// Returns the matched pairs `(u, v, w)` with `u < v`, sorted by `u` —
 /// or `None` when the composed loss certificate failed and the pool is
@@ -437,13 +440,14 @@ pub(crate) fn sharded_round(
     profiles: &[StageProfile],
     cfg: &GroupingConfig,
     cap: usize,
+    gamma: &mut GammaMemo,
     counters: &mut ShardCounters,
 ) -> Option<Vec<(usize, usize, i64)>> {
     let n = nodes.len();
     if n < 2 {
         return Some(Vec::new());
     }
-    let table = build_class_table(nodes, profiles, cfg, cap);
+    let table = build_class_table(nodes, profiles, cfg, cap, gamma);
     let shard_size = effective_shard_size(cfg);
     let workers = resolve_workers(cfg.workers, n);
     let prune = prune_config(cfg);
@@ -536,6 +540,10 @@ mod tests {
         (0..n).map(|i| vec![i]).collect()
     }
 
+    fn gamma(cfg: &GroupingConfig) -> GammaMemo {
+        GammaMemo::new(cfg.ordering)
+    }
+
     fn force_cfg(shard_size: usize) -> GroupingConfig {
         GroupingConfig {
             shard_by: ShardBy::Force,
@@ -571,7 +579,7 @@ mod tests {
         let nodes = singletons(40);
         let cfg = force_cfg(8);
         let mut counters = ShardCounters::default();
-        let pairs = sharded_round(&nodes, &profiles, &cfg, 4, &mut counters)
+        let pairs = sharded_round(&nodes, &profiles, &cfg, 4, &mut gamma(&cfg), &mut counters)
             .expect("certificate must hold on complementary classes");
         assert!(counters.shards >= 5, "{counters:?}");
         assert!(counters.templates >= 1);
@@ -593,7 +601,7 @@ mod tests {
         let nodes = singletons(256);
         let cfg = force_cfg(32);
         let mut counters = ShardCounters::default();
-        sharded_round(&nodes, &profiles, &cfg, 4, &mut counters).unwrap();
+        sharded_round(&nodes, &profiles, &cfg, 4, &mut gamma(&cfg), &mut counters).unwrap();
         assert!(
             counters.templates < counters.shards,
             "aligned class mix must dedupe templates: {counters:?}"
@@ -606,13 +614,13 @@ mod tests {
         let nodes = singletons(96);
         let mut reference: Option<Vec<(usize, usize, i64)>> = None;
         for workers in [1usize, 2, 4] {
-            crate::gamma_cache::reset();
             let cfg = GroupingConfig {
                 workers,
                 ..force_cfg(16)
             };
             let mut counters = ShardCounters::default();
-            let pairs = sharded_round(&nodes, &profiles, &cfg, 4, &mut counters).unwrap();
+            let pairs =
+                sharded_round(&nodes, &profiles, &cfg, 4, &mut gamma(&cfg), &mut counters).unwrap();
             match &reference {
                 None => reference = Some(pairs),
                 Some(r) => assert_eq!(r, &pairs, "workers={workers} diverged"),
@@ -635,7 +643,7 @@ mod tests {
             ..force_cfg(4)
         };
         let mut counters = ShardCounters::default();
-        let out = sharded_round(&nodes, &profiles, &cfg, 4, &mut counters);
+        let out = sharded_round(&nodes, &profiles, &cfg, 4, &mut gamma(&cfg), &mut counters);
         assert!(
             out.is_none(),
             "zero tolerance must force the dense fallback"
@@ -651,7 +659,8 @@ mod tests {
         let nodes = singletons(30);
         let cfg = force_cfg(5);
         let mut counters = ShardCounters::default();
-        let pairs = sharded_round(&nodes, &profiles, &cfg, 4, &mut counters).unwrap();
+        let pairs =
+            sharded_round(&nodes, &profiles, &cfg, 4, &mut gamma(&cfg), &mut counters).unwrap();
         assert_eq!(pairs.len(), 15, "all 30 nodes must pair up: {pairs:?}");
     }
 
@@ -665,7 +674,7 @@ mod tests {
         let cfg = GroupingConfig::default();
         assert!(use_sharding(&cfg, 10_000), "auto must engage at 10k");
         let mut counters = ShardCounters::default();
-        let pairs = sharded_round(&nodes, &profiles, &cfg, 4, &mut counters)
+        let pairs = sharded_round(&nodes, &profiles, &cfg, 4, &mut gamma(&cfg), &mut counters)
             .expect("10k cold plan must certify");
         assert_eq!(counters.cert_failures, 0, "zero certificate fallbacks");
         assert_eq!(pairs.len(), 5_000, "every job pairs in the uniform mix");
@@ -684,7 +693,7 @@ mod tests {
         for shard_size in [4usize, 8, 16, 64] {
             let cfg = force_cfg(shard_size);
             let mut counters = ShardCounters::default();
-            let pairs = sharded_round(&nodes, &profiles, &cfg, 4, &mut counters)
+            let pairs = sharded_round(&nodes, &profiles, &cfg, 4, &mut gamma(&cfg), &mut counters)
                 .unwrap_or_else(|| panic!("shard_size={shard_size} must certify"));
             assert_eq!(counters.cert_failures, 0);
             assert!(pairs.windows(2).all(|p| p[0].0 < p[1].0));

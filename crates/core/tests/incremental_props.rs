@@ -16,10 +16,7 @@
 
 use std::collections::BTreeSet;
 
-use muri_core::{
-    plan_incremental_with, plan_schedule_with, IncrementalPlanner, PendingJob, PolicyKind,
-    SchedulerConfig,
-};
+use muri_core::{plan_schedule, PendingJob, Planner, PolicyKind, SchedulerConfig};
 use muri_telemetry::TelemetrySink;
 use muri_workload::{JobId, SimDuration, SimTime, StageProfile};
 use proptest::prelude::*;
@@ -69,11 +66,10 @@ fn check_pass(
     queue: &[PendingJob],
     free: u32,
     now: SimTime,
-    planner: &mut IncrementalPlanner,
+    planner: &mut Planner,
 ) -> Vec<muri_core::PlannedGroup> {
-    let sink = TelemetrySink::disabled();
-    let out = plan_incremental_with(cfg, queue, free, now, &sink, planner);
-    let full = plan_schedule_with(cfg, queue, free, now, &sink);
+    let out = planner.plan_incremental(queue, free, now, &TelemetrySink::disabled());
+    let full = plan_schedule(cfg, queue, free, now);
     let inc_utility = utility(&out.plan);
     let full_utility = utility(&full);
 
@@ -131,7 +127,7 @@ proptest! {
         let mut free = total_gpus;
         let mut queue: Vec<PendingJob> = Vec::new();
         let mut running: Vec<(JobId, u32)> = Vec::new();
-        let mut planner = IncrementalPlanner::new();
+        let mut planner = Planner::new(cfg);
         let mut next_id = 0u32;
         let mut now = SimTime::ZERO;
 
@@ -139,7 +135,7 @@ proptest! {
                             running: &mut Vec<(JobId, u32)>,
                             free: &mut u32,
                             now: SimTime,
-                            planner: &mut IncrementalPlanner| {
+                            planner: &mut Planner| {
             let plan = check_pass(&cfg, queue, *free, now, planner);
             let planned: BTreeSet<JobId> =
                 plan.iter().flat_map(|p| p.group.job_ids()).collect();

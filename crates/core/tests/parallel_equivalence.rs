@@ -7,11 +7,11 @@
 //!   semantically honest;
 //! * grouping output is **byte-identical across worker counts** (1, 2,
 //!   4) for both `multi_round_grouping` and `capacity_aware_grouping`.
-//!   Caches are reset between runs so each worker count really computes
-//!   from scratch rather than replaying the first run's memo.
+//!   Each run plans on a fresh planner, so each worker count really
+//!   computes from scratch rather than replaying the first run's memo.
 
 use muri_core::grouping::{capacity_aware_grouping, BucketInput};
-use muri_core::{gamma_cache, merged_efficiency, multi_round_grouping, round_cache};
+use muri_core::{merged_efficiency, multi_round_grouping, Planner};
 use muri_core::{GroupingConfig, GroupingMode};
 use muri_interleave::{policy_efficiency, OrderingPolicy};
 use muri_workload::{SimDuration, StageProfile};
@@ -49,11 +49,6 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
     }
     rec(&mut Vec::new(), &mut idx, &mut out);
     out
-}
-
-fn reset_caches() {
-    gamma_cache::reset();
-    round_cache::reset();
 }
 
 proptest! {
@@ -94,13 +89,12 @@ proptest! {
     fn grouping_with_and_without_round_cache_agree(
         profiles in proptest::collection::vec(arb_profile(), 2..=16),
     ) {
-        // A warm round cache must return exactly what a cold run computes.
-        reset_caches();
+        // A warm round memo must return exactly what a cold run computes.
         let cfg = GroupingConfig::default();
-        let cold = multi_round_grouping(&profiles, &cfg);
-        let warm = multi_round_grouping(&profiles, &cfg);
+        let mut planner = Planner::for_grouping(cfg);
+        let cold = planner.multi_round_grouping(&profiles);
+        let warm = planner.multi_round_grouping(&profiles);
         prop_assert_eq!(&cold, &warm);
-        reset_caches();
         let recomputed = multi_round_grouping(&profiles, &cfg);
         prop_assert_eq!(&cold, &recomputed);
     }
@@ -124,7 +118,6 @@ proptest! {
         };
         let mut reference: Option<Vec<Vec<usize>>> = None;
         for workers in [1usize, 2, 4] {
-            reset_caches();
             let cfg = GroupingConfig {
                 mode,
                 max_group_size,
@@ -171,7 +164,6 @@ proptest! {
             .collect();
         let mut reference: Option<Vec<Vec<Vec<usize>>>> = None;
         for workers in [1usize, 2, 4] {
-            reset_caches();
             let cfg = GroupingConfig {
                 mode,
                 workers,

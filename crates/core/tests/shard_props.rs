@@ -14,7 +14,7 @@
 //! * **Structural validity**: sharded groupings are exact partitions of
 //!   the job pool respecting `max_group_size`.
 
-use muri_core::{gamma_cache, merged_efficiency, multi_round_grouping, round_cache};
+use muri_core::{merged_efficiency, multi_round_grouping, Planner};
 use muri_core::{GroupingConfig, GroupingMode, ShardBy};
 use muri_matching::weight_from_f64;
 use muri_workload::{SimDuration, StageProfile};
@@ -41,11 +41,6 @@ fn arb_class_pool() -> impl Strategy<Value = Vec<StageProfile>> {
         proptest::collection::vec(0..k, 6..=48)
             .prop_map(move |picks| picks.into_iter().map(|i| palette[i]).collect())
     })
-}
-
-fn reset_caches() {
-    gamma_cache::reset();
-    round_cache::reset();
 }
 
 /// The grouping objective at `max_group_size = 2`: summed quantized pair
@@ -107,12 +102,10 @@ proptest! {
             ..GroupingConfig::default()
         };
 
-        reset_caches();
         let dense_cfg = GroupingConfig { shard_by: ShardBy::Off, ..base };
         let dense = multi_round_grouping(&profiles, &dense_cfg);
         let dense_w = total_pair_weight(&dense, &profiles, &dense_cfg);
 
-        reset_caches();
         let sharded_cfg = GroupingConfig {
             shard_by: ShardBy::Force,
             shard_size,
@@ -157,7 +150,6 @@ proptest! {
         };
         let mut reference: Option<Vec<Vec<usize>>> = None;
         for workers in [1usize, 2, 4] {
-            reset_caches();
             let cfg = GroupingConfig {
                 mode,
                 max_group_size,
@@ -195,12 +187,11 @@ proptest! {
                 shard_size,
                 ..GroupingConfig::default()
             };
-            reset_caches();
-            let cold = multi_round_grouping(&profiles, &cfg);
+            let mut planner = Planner::for_grouping(cfg);
+            let cold = planner.multi_round_grouping(&profiles);
             check_partition(&cold, profiles.len(), max_group_size);
-            let warm = multi_round_grouping(&profiles, &cfg);
-            prop_assert_eq!(&cold, &warm, "warm cache diverged at shard_size={}", shard_size);
-            reset_caches();
+            let warm = planner.multi_round_grouping(&profiles);
+            prop_assert_eq!(&cold, &warm, "warm memo diverged at shard_size={}", shard_size);
             let recomputed = multi_round_grouping(&profiles, &cfg);
             prop_assert_eq!(&cold, &recomputed, "cold rerun diverged at shard_size={}", shard_size);
         }

@@ -15,6 +15,31 @@ fn muri_l_config() -> SimConfig {
     config_for(PolicyKind::MuriL)
 }
 
+/// A tabulated metric: its row label and how to read it off a report.
+type Metric = (&'static str, fn(&SimReport) -> f64);
+
+/// The two normalized metrics Figs. 11 and 12 tabulate.
+const METRICS: [Metric; 2] = [
+    ("Normalized average JCT", SimReport::avg_jct_secs),
+    ("Normalized makespan", SimReport::makespan_secs),
+];
+
+/// One report per (trace, variant): each simulation runs once and feeds
+/// both metric tables.
+fn run_variants<T>(
+    traces: impl Iterator<Item = Trace>,
+    variants: &[(T, SimConfig)],
+) -> Vec<Vec<SimReport>> {
+    traces
+        .map(|trace| {
+            variants
+                .iter()
+                .map(|(_, cfg)| run_with(&trace, cfg))
+                .collect()
+        })
+        .collect()
+}
+
 /// Fig. 11: Muri-L vs "worst ordering" vs "without Blossom"
 /// (priority-order packing) on traces 1–4.
 pub fn fig11(scale: Scale) -> ExperimentReport {
@@ -35,23 +60,14 @@ pub fn fig11(scale: Scale) -> ExperimentReport {
             c
         }),
     ];
-    for (metric, f) in [
-        (
-            "Normalized average JCT",
-            SimReport::avg_jct_secs as fn(&SimReport) -> f64,
-        ),
-        ("Normalized makespan", SimReport::makespan_secs),
-    ] {
+    let reports = run_variants((1..=4).map(|i| simulation_trace(i, scale)), &variants);
+    for (metric, f) in METRICS {
         let mut t = Table::new(
             format!("fig11 — {metric} (normalized to Muri-L)"),
             &["Trace", "Muri-L", "w/ worst ordering", "w/o Blossom"],
         );
-        for i in 1..=4 {
-            let trace = simulation_trace(i, scale);
-            let runs: Vec<f64> = variants
-                .iter()
-                .map(|(_, cfg)| f(&run_with(&trace, cfg)))
-                .collect();
+        for (i, runs) in (1..=4).zip(&reports) {
+            let runs: Vec<f64> = runs.iter().map(f).collect();
             t.push_row(vec![
                 i.to_string(),
                 f2(1.0),
@@ -81,23 +97,14 @@ pub fn fig12(scale: Scale) -> ExperimentReport {
         c.scheduler.grouping.max_group_size = cap;
         variants.push((format!("Muri-L-{cap}"), c));
     }
-    for (metric, f) in [
-        (
-            "Normalized average JCT",
-            SimReport::avg_jct_secs as fn(&SimReport) -> f64,
-        ),
-        ("Normalized makespan", SimReport::makespan_secs),
-    ] {
+    let reports = run_variants((1..=4).map(|i| simulation_trace_t0(i, scale)), &variants);
+    for (metric, f) in METRICS {
         let mut t = Table::new(
             format!("fig12 — {metric} (normalized to Muri-L-4)"),
             &["Trace", "AntMan", "Muri-L-2", "Muri-L-3", "Muri-L-4"],
         );
-        for i in 1..=4 {
-            let trace = simulation_trace_t0(i, scale);
-            let runs: Vec<f64> = variants
-                .iter()
-                .map(|(_, cfg)| f(&run_with(&trace, cfg)))
-                .collect();
+        for (i, runs) in (1..=4).zip(&reports) {
+            let runs: Vec<f64> = runs.iter().map(f).collect();
             let base = runs[3];
             t.push_row(vec![
                 i.to_string(),

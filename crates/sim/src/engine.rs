@@ -38,10 +38,7 @@ use crate::metrics::{JobRecord, SeriesSample, SimReport};
 use muri_cluster::{
     Cluster, FaultKind, GpuId, GpuSet, JobProgress, UtilizationSnapshot, WorkerMonitor,
 };
-use muri_core::{
-    plan_incremental_with, plan_schedule_with, IncrementalPlanner, IncrementalStats, PendingJob,
-    PlanMode, PlannedGroup,
-};
+use muri_core::{IncrementalStats, PendingJob, PlanMode, PlannedGroup, Planner};
 use muri_engine::{EventHandler, EventQueue, SchedulerEvent, VirtualClockQueue};
 use muri_interleave::{choose_ordering, GroupMember, InterleaveGroup};
 use muri_telemetry::{Event, TelemetrySink};
@@ -333,8 +330,10 @@ pub struct EngineCore {
     /// How backfill passes plan: full re-plan (fixture-pinned default)
     /// or dirty-class incremental with certified fallback.
     plan_mode: PlanMode,
-    /// Dirty-class bookkeeping for [`PlanMode::Incremental`].
-    inc: IncrementalPlanner,
+    /// The scheduler config's planner: its memos carry round state from
+    /// pass to pass, and its dirty classes drive
+    /// [`PlanMode::Incremental`].
+    planner: Planner,
     /// Telemetry sink — disabled (a single `None` branch per site) unless
     /// installed via [`EngineCore::set_telemetry`].
     sink: TelemetrySink,
@@ -465,7 +464,7 @@ impl EngineCore {
             nevents: 0,
             cancelled: BTreeSet::new(),
             plan_mode: PlanMode::Full,
-            inc: IncrementalPlanner::new(),
+            planner: Planner::new(cfg.scheduler),
             sink: TelemetrySink::disabled(),
             monitor: WorkerMonitor::with_policy(cfg.faults.health),
             #[cfg(feature = "audit")]
@@ -573,7 +572,7 @@ impl EngineCore {
             self.monitor.forget_job(id);
             self.reform_group(gid, survivors, q);
             self.dirty = true;
-            self.inc.mark_all();
+            self.planner.mark_all();
             self.fill_pass(q);
             return true;
         }
@@ -611,7 +610,7 @@ impl EngineCore {
 
     /// Incremental-planning counters (all zero under [`PlanMode::Full`]).
     pub fn incremental_stats(&self) -> IncrementalStats {
-        self.inc.stats()
+        self.planner.incremental_stats()
     }
 
     /// The core's current time.
@@ -746,7 +745,7 @@ impl EngineCore {
         }
         self.queue.push(spec.id);
         self.dirty = true;
-        self.inc.mark(spec.num_gpus);
+        self.planner.mark(spec.num_gpus);
         if self.cfg.faults.job_is_elastic(spec.id.0) {
             self.arm_resize(spec.id, 0, q);
         }
@@ -890,7 +889,7 @@ impl EngineCore {
             self.sink
                 .emit(|| Event::JobCompleted { time: now, job: *m });
             self.monitor.forget_job(*m);
-            self.inc.mark(self.jobs[m].spec.num_gpus);
+            self.planner.mark(self.jobs[m].spec.num_gpus);
         }
         if self.cfg.faults.health_active() {
             // Completions are healthy progress: clear the hosting
@@ -1168,13 +1167,10 @@ impl EngineCore {
         } else {
             self.cluster.free_gpus()
         };
-        let plan = plan_schedule_with(
-            &self.cfg.scheduler,
-            &candidates,
-            capacity,
-            self.now,
-            &self.sink,
-        );
+        // A full pass spends the planner's incremental marks.
+        let plan = self
+            .planner
+            .plan_pass(&candidates, capacity, self.now, &self.sink);
 
         // Index planned groups by member set.
         let mut planned: Vec<(Vec<JobId>, PlannedGroup)> = plan
@@ -1211,8 +1207,6 @@ impl EngineCore {
         for (ids, p) in planned {
             self.start_group(ids, p.num_gpus, q);
         }
-        // A full pass saw every class — incremental marks are spent.
-        self.inc.clear();
         self.audit_pass();
     }
 
@@ -1231,19 +1225,13 @@ impl EngineCore {
         let free = self.cluster.free_gpus();
         if free > 0 {
             let plan = match self.plan_mode {
-                PlanMode::Full => {
-                    plan_schedule_with(&self.cfg.scheduler, &candidates, free, self.now, &self.sink)
-                }
+                PlanMode::Full => self
+                    .planner
+                    .plan_pass(&candidates, free, self.now, &self.sink),
                 PlanMode::Incremental => {
-                    plan_incremental_with(
-                        &self.cfg.scheduler,
-                        &candidates,
-                        free,
-                        self.now,
-                        &self.sink,
-                        &mut self.inc,
-                    )
-                    .plan
+                    self.planner
+                        .plan_incremental(&candidates, free, self.now, &self.sink)
+                        .plan
                 }
             };
             for p in plan {

@@ -91,7 +91,7 @@ impl EngineCore {
         // next pass to regroup.
         self.stop_group(gid, Stop::JobFault(job));
         self.dirty = true;
-        self.inc.mark_all();
+        self.planner.mark_all();
         self.fill_pass(q);
     }
 
@@ -215,7 +215,7 @@ impl EngineCore {
         }
         self.sync_banned();
         self.dirty = true;
-        self.inc.mark_all();
+        self.planner.mark_all();
         self.fill_pass(q);
     }
 
@@ -235,7 +235,7 @@ impl EngineCore {
         let gap = exp_gap(&mut self.machine_rng, mtbf);
         q.schedule(self.now + gap, SchedulerEvent::MachineFailed(m));
         self.dirty = true;
-        self.inc.mark_all();
+        self.planner.mark_all();
         self.fill_pass(q);
     }
 
@@ -320,7 +320,7 @@ impl EngineCore {
             SchedulerEvent::SpotRestored(m),
         );
         self.dirty = true;
-        self.inc.mark_all();
+        self.planner.mark_all();
         self.fill_pass(q);
     }
 
@@ -336,7 +336,7 @@ impl EngineCore {
         }
         self.arm_spot_cycle(m, q);
         self.dirty = true;
-        self.inc.mark_all();
+        self.planner.mark_all();
         self.fill_pass(q);
     }
 
@@ -460,8 +460,8 @@ impl EngineCore {
             to_gpus: to,
         });
         self.dirty = true;
-        self.inc.mark(from);
-        self.inc.mark(to);
+        self.planner.mark(from);
+        self.planner.mark(to);
         self.arm_resize(job, epoch + 1, q);
         self.fill_pass(q);
     }

@@ -23,12 +23,14 @@
 //!   `planning_pass` lines are left out of the journal fixtures: they
 //!   carry wall-clock phase timings. These fixtures were generated
 //!   before the engine's stop, checkpoint and settle copies were folded.
+//! * planner state: two runs of one trace on one thread count the same
+//!   memo hits and misses, so no memo outlives its simulation.
 //!
 //! Run with `MURI_BLESS=1` to regenerate a fixture after a *deliberate*
 //! behavior change.
 
 use muri_cluster::ClusterSpec;
-use muri_core::{gamma_cache, round_cache, PolicyKind, SchedulerConfig};
+use muri_core::{PolicyKind, SchedulerConfig};
 use muri_engine::VirtualClockQueue;
 use muri_sim::{
     simulate, simulate_with_telemetry, CheckpointConfig, EngineCore, FaultConfig, JobPhase,
@@ -95,10 +97,8 @@ struct PlanCounters {
 
 #[test]
 fn pruned_path_muris_report_is_pinned() {
-    // Fresh memo layers: the counters below count matcher runs, which a
-    // round cache warmed by another test on this thread would skip.
-    gamma_cache::reset();
-    round_cache::reset();
+    // The counters below count matcher runs; every simulation plans on
+    // its own planner, whose memos start empty.
     let trace = philly_like_trace(1, 0.2); // 198 jobs, buckets up to ~90 nodes
     let cfg = SimConfig::testbed(SchedulerConfig::preset(PolicyKind::MuriS));
     let sink = TelemetrySink::enabled(Telemetry::new());
@@ -130,6 +130,42 @@ fn pruned_path_muris_report_is_pinned() {
         &report,
         "pruned-path SimReport diverged from the pinned pre-class-table output",
     );
+}
+
+/// Summed `planning_pass` memo counters of one run:
+/// `[γ hits, γ misses, round hits, round misses]`.
+fn memo_counters(trace: &Trace, cfg: &SimConfig) -> [u64; 4] {
+    let sink = TelemetrySink::enabled(Telemetry::new());
+    simulate_with_telemetry(trace, cfg, &sink);
+    let telemetry = sink.into_inner().expect("engine dropped its sink clones");
+    assert_eq!(telemetry.journal.dropped(), 0);
+    let mut sums = [0u64; 4];
+    for event in telemetry.journal.events() {
+        if let Event::PlanningPass {
+            gamma_cache,
+            round_cache,
+            ..
+        } = event
+        {
+            sums[0] += gamma_cache.hits;
+            sums[1] += gamma_cache.misses;
+            sums[2] += round_cache.hits;
+            sums[3] += round_cache.misses;
+        }
+    }
+    sums
+}
+
+#[test]
+fn planner_memos_do_not_leak_between_runs() {
+    // Two runs of one trace on one thread must plan from the same (empty)
+    // memos: a memo that outlived the first run would turn the second
+    // run's misses into hits.
+    let trace = philly_like_trace(1, 0.2);
+    let cfg = SimConfig::testbed(SchedulerConfig::preset(PolicyKind::MuriS));
+    let first = memo_counters(&trace, &cfg);
+    assert!(first[1] > 0 && first[3] > 0, "the run must miss: {first:?}");
+    assert_eq!(memo_counters(&trace, &cfg), first);
 }
 
 /// The journal as JSON Lines, minus the `planning_pass` events (their

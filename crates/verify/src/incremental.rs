@@ -1,6 +1,6 @@
 //! Auditing incremental re-plans against the full cold re-plan oracle.
 //!
-//! The daemon's incremental planner (`muri-core::plan_incremental_with`)
+//! The daemon's incremental planner (`muri_core::Planner::plan_incremental`)
 //! re-solves only the GPU classes invalidated by the triggering arrival
 //! or completion, with a full certified re-plan as fallback. Its
 //! contract, checked here on a caller-provided snapshot:
